@@ -4,8 +4,8 @@
 // in results/BENCH_sim.json, so the repository carries its own performance
 // trajectory and CI can fail a change that regresses it.
 //
-// Every kernel is measured twice: once on the default engine and once with
-// the chip pinned to the legacy single-stepping loop. The single-step
+// Every kernel is measured on the default engine and with the chip pinned to
+// the legacy single-stepping loop, in interleaved pairs. The single-step
 // number is the stable reference that makes rows comparable across hosts —
 // CI machines differ in absolute speed, but the engine-over-single-step
 // ratio is a property of the code, so the regression gate compares ratios,
@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"time"
 
 	"repro/internal/sim"
@@ -45,14 +46,17 @@ type KernelResult struct {
 	// Cycles is the simulated cycle count — identical for both engines by
 	// the bit-identity contract, which Run enforces.
 	Cycles uint64 `json:"cycles"`
-	// Default engine: wall seconds and simulated cycles per wall second.
+	// Default engine: median wall seconds and simulated cycles per wall
+	// second.
 	WallS float64 `json:"wall_s"`
 	CPS   float64 `json:"cycles_per_sec"`
 	MCPS  float64 `json:"mcps"`
 	// Legacy single-stepping loop, the cross-host reference.
 	SingleStepWallS float64 `json:"single_step_wall_s"`
 	SingleStepCPS   float64 `json:"single_step_cycles_per_sec"`
-	// Speedup = CPS / SingleStepCPS, the host-independent figure of merit.
+	// Speedup is the median over back-to-back (single-step, default) run
+	// pairs of single-step wall / default wall: the host-independent figure
+	// of merit.
 	Speedup float64 `json:"speedup"`
 }
 
@@ -91,6 +95,9 @@ type WarmupReuse struct {
 	ColdWallS    float64 `json:"cold_wall_s"`
 	ReuseWallS   float64 `json:"reuse_wall_s"`
 	Speedup      float64 `json:"speedup"`
+	// Ceiling is the Amdahl bound on Speedup from the simulated cycles
+	// (reuseCeiling); a measurement above it is refused.
+	Ceiling float64 `json:"ceiling,omitempty"`
 }
 
 // File is the whole BENCH_sim.json document.
@@ -133,25 +140,17 @@ func Run(opts Options) (*Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		defCycles, defWall, err := timeKernel(b, cfg, opts.Scale, true)
+		cycles, defWall, ssWall, speedup, err := timeKernel(b, cfg, opts.Scale)
 		if err != nil {
-			return nil, fmt.Errorf("%s (default engine): %w", name, err)
-		}
-		ssCycles, ssWall, err := timeKernel(b, cfg, opts.Scale, false)
-		if err != nil {
-			return nil, fmt.Errorf("%s (single-step): %w", name, err)
-		}
-		if defCycles != ssCycles {
-			return nil, fmt.Errorf("%s: engines disagree on simulated time: default=%d cycles, single-step=%d cycles (bit-identity violation)",
-				name, defCycles, ssCycles)
+			return nil, err
 		}
 		kr := KernelResult{
 			Name: name, Config: cfg.Name, Scale: opts.Scale.String(),
-			Cycles: defCycles,
-			WallS:  defWall, CPS: float64(defCycles) / defWall, MCPS: float64(defCycles) / defWall / 1e6,
-			SingleStepWallS: ssWall, SingleStepCPS: float64(ssCycles) / ssWall,
+			Cycles: cycles,
+			WallS:  defWall, CPS: float64(cycles) / defWall, MCPS: float64(cycles) / defWall / 1e6,
+			SingleStepWallS: ssWall, SingleStepCPS: float64(cycles) / ssWall,
+			Speedup: speedup,
 		}
-		kr.Speedup = kr.CPS / kr.SingleStepCPS
 		row.Kernels = append(row.Kernels, kr)
 		if opts.Progress != nil {
 			opts.Progress(fmt.Sprintf("%-16s %12d cycles  %8.2f Mcps  (single-step %8.2f Mcps, %.2fx)",
@@ -177,21 +176,18 @@ func Run(opts Options) (*Row, error) {
 	}
 	row.WarmupReuse = wr
 	if opts.Progress != nil {
-		opts.Progress(fmt.Sprintf("warm-up reuse (%s, %d points): cold %.3f s, forked %.3f s — %.2fx",
-			wr.Bench, wr.Points, wr.ColdWallS, wr.ReuseWallS, wr.Speedup))
+		opts.Progress(fmt.Sprintf("warm-up reuse (%s, %d points): cold %.3f s, forked %.3f s — %.2fx (ceiling %.2fx)",
+			wr.Bench, wr.Points, wr.ColdWallS, wr.ReuseWallS, wr.Speedup, wr.Ceiling))
 	}
 	return row, nil
 }
 
-// warmupReuseRepeats: each sweep variant is run this many times and the best
-// (minimum) total sim-loop wall clock kept, the same noise-shedding rule as
-// timeKernel.
-const warmupReuseRepeats = 5
-
 // MeasureWarmupReuse times a physical-register sweep on rndcopy — the
 // warm-up benchmark, over a knob the warm-up cannot observe — cold and with
 // warm-up forking, and verifies the two sweeps agree point by point before
-// reporting the speedup.
+// reporting the speedup. A speedup above the Amdahl ceiling (see
+// reuseCeiling) cannot come from skipping warm-ups, so it is refused as a
+// measurement error rather than recorded.
 func MeasureWarmupReuse(s workloads.Scale) (*WarmupReuse, error) {
 	b, err := workloads.Get("rndcopy")
 	if err != nil {
@@ -206,25 +202,24 @@ func MeasureWarmupReuse(s workloads.Scale) (*WarmupReuse, error) {
 	}
 
 	wr := &WarmupReuse{Bench: b.Name, Config: base.Name, Scale: s.String(), Points: len(cfgs)}
-	var coldStats []stats.Stats
-	for rep := 0; rep < warmupReuseRepeats; rep++ {
-		var ns int64
-		var st []stats.Stats
-		for _, cfg := range cfgs {
+	coldStats := make([]stats.Stats, len(cfgs))
+	roiCycles := make([]uint64, len(cfgs))
+	cold := func() (time.Duration, error) {
+		var d time.Duration
+		for i, cfg := range cfgs {
 			res, err := b.Run(cfg, s)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			ns += res.WallNs
-			st = append(st, *res.Stats)
+			d += time.Duration(res.WallNs)
+			coldStats[i] = *res.Stats
+			roiCycles[i] = res.SimCycles - res.WarmupCycles
+			wr.WarmupCycles = res.WarmupCycles
 		}
-		if wall := float64(ns) / 1e9; rep == 0 || wall < wr.ColdWallS {
-			wr.ColdWallS = wall
-		}
-		coldStats = st
+		return d, nil
 	}
-	for rep := 0; rep < warmupReuseRepeats; rep++ {
-		var ns int64
+	forked := func() (time.Duration, error) {
+		var d time.Duration
 		var blob []byte
 		for i, cfg := range cfgs {
 			var opts workloads.RunOpts
@@ -235,82 +230,130 @@ func MeasureWarmupReuse(s workloads.Scale) (*WarmupReuse, error) {
 			}
 			res, err := b.RunOpt(cfg, s, opts)
 			if err != nil {
-				return nil, err
+				return 0, err
 			}
-			ns += res.WallNs
+			d += time.Duration(res.WallNs)
 			if *res.Stats != coldStats[i] {
-				return nil, fmt.Errorf("point %d (phys_vregs=%d): forked run's statistics differ from the cold run's (bit-identity violation)",
+				return 0, fmt.Errorf("point %d (phys_vregs=%d): forked run's statistics differ from the cold run's (bit-identity violation)",
 					i, cfg.Vbox.PhysVRegs)
 			}
 			if i > 0 && !res.WarmupRestored {
-				return nil, fmt.Errorf("point %d did not restore the warm-up snapshot", i)
+				return 0, fmt.Errorf("point %d did not restore the warm-up snapshot", i)
 			}
-			wr.WarmupCycles = res.WarmupCycles
 		}
-		if wall := float64(ns) / 1e9; rep == 0 || wall < wr.ReuseWallS {
-			wr.ReuseWallS = wall
-		}
+		return d, nil
 	}
-	if wr.ReuseWallS <= 0 {
-		wr.ReuseWallS = 1e-9
+	// timePairs runs the cold sweep first, so coldStats is filled before
+	// any forked sweep is checked against it.
+	var ratios []float64
+	wr.ColdWallS, wr.ReuseWallS, ratios, err = timePairs(cold, forked)
+	if err != nil {
+		return nil, err
 	}
-	wr.Speedup = wr.ColdWallS / wr.ReuseWallS
+	wr.Speedup = median(ratios)
+	wr.Ceiling = reuseCeiling(wr.WarmupCycles, roiCycles)
+	// Wall time tracks cycles closely on this sweep, so a sound median sits
+	// just under the ceiling and single pairs scatter across it. The figure
+	// is refused when even the lower quartile of the pairs is above the
+	// ceiling: most of the measurement then claims a saving the skipped
+	// cycles cannot explain.
+	if q1 := ratios[len(ratios)/4]; q1 > wr.Ceiling {
+		return nil, fmt.Errorf("warm-up reuse measured %.2fx (lower quartile %.2fx), above the %.2fx ceiling that skipping %d warm-ups of %d cycles allows (ROI cycles %v): the timing is broken, refusing to record it",
+			wr.Speedup, q1, wr.Ceiling, len(roiCycles)-1, wr.WarmupCycles, roiCycles)
+	}
 	return wr, nil
 }
 
-// kernelRepeats bounds how many times timeKernel runs each kernel; the fastest
-// repeat is kept, the standard way to shed scheduler noise from a
-// deterministic workload.
-const kernelRepeats = 25
+// reuseCeiling is the Amdahl bound on the warm-up reuse speedup when wall
+// time is proportional to simulated cycles: the cold sweep simulates
+// Σ(W+R_i), the forked sweep W+ΣR_i. With n equal ROIs this is
+// n(W+R)/(W+nR), 3(W+R)/(W+3R) for the three-point sweep.
+func reuseCeiling(w uint64, roi []uint64) float64 {
+	var sumR uint64
+	for _, r := range roi {
+		sumR += r
+	}
+	return float64(uint64(len(roi))*w+sumR) / float64(w+sumR)
+}
 
-// kernelMeasureFloor is the cumulative sim-loop wall clock timeKernel keeps
-// measuring toward before trusting its minimum. Test-scale kernels finish in
-// single-digit milliseconds, where one GC pause or a scheduler hiccup swings
-// a lone sample by tens of percent; accumulating a quarter second of real
-// measurement (still well under kernelRepeats at bench scale, where a single
-// run exceeds the floor on its own) makes the reported minimum — and the
-// engine-speedup ratio the CI gate compares — reproducible.
-const kernelMeasureFloor = 250 * time.Millisecond
-
-// timeKernel runs one kernel kernelRepeats times and returns (simulated
-// cycles, best wall seconds). The wall clock is the chip loop's own
-// (Result.WallNs), not the process wall: at test scale the kernels simulate
-// only a few thousand cycles, so trace construction and functional
-// verification would otherwise dominate and hide the engine entirely.
-// fastForward=false pins the legacy single-stepping chip loop via the
-// package-wide engine default (restored before returning).
-func timeKernel(b *workloads.Benchmark, cfg *sim.Config, s workloads.Scale, fastForward bool) (uint64, float64, error) {
+// timeKernel times one kernel on the legacy single-stepping loop and on the
+// default engine (timePairs) and returns the simulated cycles, the two
+// median wall clocks in seconds and the engine speedup. The wall clock is
+// the chip loop's own (Result.WallNs), not the process wall: at test scale
+// the kernels simulate only a few thousand cycles, so trace construction and
+// functional verification would otherwise dominate and hide the engine
+// entirely. The engine is selected through the package-wide sim.FastForward
+// default (restored before returning). Both engines must report the same
+// simulated cycles on every run — the bit-identity contract.
+func timeKernel(b *workloads.Benchmark, cfg *sim.Config, s workloads.Scale) (cycles uint64, defWall, ssWall, speedup float64, err error) {
 	saved := sim.FastForward
-	sim.FastForward = fastForward
 	defer func() { sim.FastForward = saved }()
-	var cycles uint64
-	best := 0.0
-	var accum time.Duration
-	for i := 0; i < kernelRepeats; i++ {
-		if i >= 3 && accum >= kernelMeasureFloor {
-			break
-		}
-		res, err := b.Run(cfg, s)
-		if err != nil {
-			return 0, 0, err
-		}
-		accum += time.Duration(res.WallNs)
-		wall := float64(res.WallNs) / 1e9
-		if wall <= 0 {
-			wall = 1e-9
-		}
-		if i == 0 {
-			cycles, best = res.SimCycles, wall
-		} else {
-			if res.SimCycles != cycles {
-				return 0, 0, fmt.Errorf("%s: nondeterministic simulated time: %d cycles then %d", b.Name, cycles, res.SimCycles)
+	engine := func(fastForward bool) func() (time.Duration, error) {
+		return func() (time.Duration, error) {
+			sim.FastForward = fastForward
+			res, err := b.Run(cfg, s)
+			if err != nil {
+				return 0, fmt.Errorf("%s (fast-forward %v): %w", b.Name, fastForward, err)
 			}
-			if wall < best {
-				best = wall
+			if cycles == 0 {
+				cycles = res.SimCycles
+			} else if res.SimCycles != cycles {
+				return 0, fmt.Errorf("%s: simulated time changed between runs (fast-forward %v): %d cycles, earlier %d (nondeterminism or engine bit-identity violation)",
+					b.Name, fastForward, res.SimCycles, cycles)
 			}
+			return time.Duration(res.WallNs), nil
 		}
 	}
-	return cycles, best, nil
+	ssWall, defWall, ratios, err := timePairs(engine(false), engine(true))
+	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	return cycles, defWall, ssWall, median(ratios), nil
+}
+
+// timingPairs is how many back-to-back run pairs timePairs takes. A shared
+// host drifts in speed by tens of percent over seconds while a test-scale
+// run lasts milliseconds, so the best runs of two variants timed apart are
+// samples of different host speeds. A pair's ratio cancels the drift its
+// two runs share; on a 2-vCPU VM single pair ratios still spread ±20%
+// around their median, the median of 25 pairs a few percent.
+const timingPairs = 25
+
+// timePairs runs a and b back to back timingPairs times, alternating which
+// goes first (a in the first pair) and forcing a collection before each run
+// so garbage from one run is not collected on the other's clock. It returns
+// the median wall seconds of a and of b and the per-pair ratios a/b, sorted.
+func timePairs(a, b func() (time.Duration, error)) (aWall, bWall float64, ratios []float64, err error) {
+	var aw, bw []float64
+	for i := 0; i < timingPairs; i++ {
+		var d [2]time.Duration
+		for k := 0; k < 2; k++ {
+			v := (i + k) % 2 // 0 = a, 1 = b
+			runtime.GC()
+			run := a
+			if v == 1 {
+				run = b
+			}
+			if d[v], err = run(); err != nil {
+				return 0, 0, nil, err
+			}
+			d[v] = max(d[v], time.Nanosecond)
+		}
+		aw = append(aw, d[0].Seconds())
+		bw = append(bw, d[1].Seconds())
+		ratios = append(ratios, d[0].Seconds()/d[1].Seconds())
+	}
+	sort.Float64s(ratios)
+	return median(aw), median(bw), ratios, nil
+}
+
+// median sorts x in place and returns its median.
+func median(x []float64) float64 {
+	sort.Float64s(x)
+	if n := len(x); n%2 == 0 {
+		return (x[n/2-1] + x[n/2]) / 2
+	}
+	return x[len(x)/2]
 }
 
 // timeSweep runs the full table/figure sweep sequentially and returns its

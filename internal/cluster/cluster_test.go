@@ -487,28 +487,34 @@ func TestRouterFailoverAndPeerUnreachable(t *testing.T) {
 	}))
 	t.Cleanup(live.Close)
 
-	req := &serve.SubmitRequest{Bench: "dgemm", Config: "T", Scale: "test"}
-	key, err := serve.RouteKey(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := ""
-	for port := 9; port < 200; port += 10 {
-		cand := fmt.Sprintf("http://127.0.0.1:%d", port)
-		if cluster.NewRing([]string{live.URL, cand}).Lookup(key) == cand {
-			dead = cand
+	// The live server's port is random, and for some ports its vnodes own
+	// a given key against every candidate dead address; searching over
+	// several keys as well makes finding a dead owner all but certain.
+	dead, bench := "", ""
+	for _, b := range []string{"dgemm", "streams_copy", "rndcopy", "sparsemxv", "moldyn", "ccradix"} {
+		key, err := serve.RouteKey(&serve.SubmitRequest{Bench: b, Config: "T", Scale: "test"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for port := 9; port < 200 && dead == ""; port += 10 {
+			cand := fmt.Sprintf("http://127.0.0.1:%d", port)
+			if cluster.NewRing([]string{live.URL, cand}).Lookup(key) == cand {
+				dead, bench = cand, b
+			}
+		}
+		if dead != "" {
 			break
 		}
 	}
 	if dead == "" {
-		t.Fatal("could not find a dead address owning the test key")
+		t.Fatal("could not find a dead address owning a test key")
 	}
 
 	p := cluster.NewProxy([]string{live.URL, dead}, 0)
 	rt := httptest.NewServer(p.Handler())
 	t.Cleanup(rt.Close)
 
-	resp, body := postJSON(t, rt.URL+"/v1/jobs", map[string]any{"bench": "dgemm", "config": "T", "scale": "test"})
+	resp, body := postJSON(t, rt.URL+"/v1/jobs", map[string]any{"bench": bench, "config": "T", "scale": "test"})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("failover submit: HTTP %d: %s", resp.StatusCode, body)
 	}

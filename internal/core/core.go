@@ -134,8 +134,10 @@ type Core struct {
 	intFU, fpFU, ldFU, stFU *pipe.FUPool
 
 	// Write buffer: retired stores draining to the cache hierarchy.
+	// wbDoneFn, bound once, retires one in-flight drain.
 	writeBuf   []wbEntry
 	wbInFlight int
+	wbDoneFn   func(uint64)
 
 	l1       *l1cache
 	mshr     map[uint64][]*pipe.UOp // line -> loads waiting on its fill
@@ -173,6 +175,7 @@ func New(cfg Config, reg *metrics.Registry, l2c *l2.L2, vu VectorUnit) *Core {
 		mshrPref: make(map[uint64]bool),
 	}
 	c.completeFn = c.onComplete
+	c.wbDoneFn = func(uint64) { c.wbInFlight-- }
 	l2c.OnPBitInvalidate = c.invalidateL1
 	m := reg.Scope("core")
 	c.flops = m.Counter("flops")
@@ -714,13 +717,13 @@ func (c *Core) drainWriteBuffer(cy uint64) {
 	switch {
 	case e.wh64:
 		c.wbInFlight++
-		c.l2.WH64(cy, e.addr, func(uint64) { c.wbInFlight-- })
+		c.l2.WH64(cy, e.addr, c.wbDoneFn)
 	case c.l1.probe(line):
 		// Write-back L1: the store lands in the L1 and stays dirty there.
 		c.l1.markDirty(line)
 	default:
 		c.wbInFlight++
-		c.l2.ScalarWrite(cy, e.addr, func(uint64) { c.wbInFlight-- })
+		c.l2.ScalarWrite(cy, e.addr, c.wbDoneFn)
 	}
 }
 

@@ -26,36 +26,49 @@ type CRBox struct {
 // lane assignment follows the register file slicing (index mod 16). In the
 // worst case — all addresses on one bank — a 128-element instruction yields
 // 128 single-element slices (the paper's stated worst case).
+//
+// elems are the active elements of one vector instruction: distinct indices
+// below isa.VLMax, so no lane queues more than VLMax/NumLanes of them. The
+// returned slices share one backing Elem array.
 func (cr *CRBox) Pack(elems []Elem, tag0 int) ([]Slice, int) {
-	var lanes [isa.NumLanes][]Elem
-	n := 0
+	var lanes [isa.NumLanes][isa.VLMax / isa.NumLanes]Elem
+	var head, tail [isa.NumLanes]int
 	for _, e := range elems {
 		l := LaneOf(e.Index)
-		lanes[l] = append(lanes[l], e)
-		n++
+		lanes[l][tail[l]] = e
+		tail[l]++
 	}
-	var out []Slice
+	if len(elems) == 0 {
+		return nil, 0
+	}
+	packed := make([]Elem, 0, len(elems))
+	var size [isa.VLMax]uint8 // elements won per round
 	rounds := 0
-	for n > 0 {
-		rounds++
+	for len(packed) < len(elems) {
 		var bankUsed [NumBanks]bool
-		s := Slice{Tag: tag0 + len(out)}
+		start := len(packed)
 		for l := 0; l < isa.NumLanes; l++ {
-			if len(lanes[l]) == 0 {
+			if head[l] == tail[l] {
 				continue
 			}
-			head := lanes[l][0]
-			b := BankOf(head.Addr)
+			head0 := lanes[l][head[l]]
+			b := BankOf(head0.Addr)
 			if bankUsed[b] {
 				continue // loses this tournament, retries next round
 			}
 			bankUsed[b] = true
-			s.Elems = append(s.Elems, head)
-			lanes[l] = lanes[l][1:]
-			n--
+			packed = append(packed, head0)
+			head[l]++
 		}
-		s.QWords = len(s.Elems)
-		out = append(out, s)
+		size[rounds] = uint8(len(packed) - start)
+		rounds++
+	}
+	out := make([]Slice, rounds)
+	off := 0
+	for r := range out {
+		end := off + int(size[r])
+		out[r] = Slice{Tag: tag0 + r, Elems: packed[off:end:end], QWords: end - off}
+		off = end
 	}
 	cr.Rounds += rounds
 	cr.Slices += len(out)
@@ -66,7 +79,8 @@ func (cr *CRBox) Pack(elems []Elem, tag0 int) ([]Slice, int) {
 // degenerate stride) through the CR box, per §3.4: "Any instruction with
 // such a stride is treated exactly like a gather/scatter."
 func (cr *CRBox) PackStrided(base uint64, strideBytes int64, active []bool, tag0 int) ([]Slice, int) {
-	elems := make([]Elem, 0, len(active))
+	var buf [isa.VLMax]Elem
+	elems := buf[:0]
 	for i, act := range active {
 		if !act {
 			continue

@@ -151,50 +151,63 @@ func ScheduleStrided(base uint64, strideBytes int64, active []bool, tag0 int) ([
 // address generators emit the 16 line addresses and set the pump bit. A
 // misaligned base touches 17 lines and is forced to generate two pump
 // slices (§3.4 footnote).
+//
+// Unit-stride line addresses only rise with the element index, so each
+// touched line is either the last one seen or a new one: the lines collect
+// in order with no lookup. The slices share one backing Elem array.
 func pumpSlices(base uint64, active []bool, tag0 int) []Slice {
-	type lineInfo struct {
-		addr uint64
-		qw   int
-	}
-	var lines []lineInfo
-	lineIdx := make(map[uint64]int)
+	var buf [isa.VLMax/(LineBytes/8) + 1]pumpLine
+	lines := buf[:0]
 	for i, act := range active {
 		if !act {
 			continue
 		}
 		la := (base + uint64(i)*8) &^ (LineBytes - 1)
-		j, ok := lineIdx[la]
-		if !ok {
-			j = len(lines)
-			lineIdx[la] = j
-			lines = append(lines, lineInfo{addr: la})
+		if n := len(lines); n == 0 || lines[n-1].addr != la {
+			lines = append(lines, pumpLine{addr: la})
 		}
-		lines[j].qw++
+		lines[len(lines)-1].qw++
 	}
 	if len(lines) == 0 {
 		return nil
 	}
-	// Split at 1 KiB block boundaries: a block holds one line per bank, so
-	// each pump slice is conflict-free. An aligned 128-element access is
-	// one slice; a misaligned base straddles a block boundary and is forced
-	// to generate two slices, both with the pump bit set (§3.4 footnote 3).
-	var out []Slice
-	block := func(a uint64) uint64 { return a >> 10 }
-	start := 0
-	for start < len(lines) {
-		end := start + 1
-		for end < len(lines) && end-start < NumBanks && block(lines[end].addr) == block(lines[start].addr) {
-			end++
-		}
-		s := Slice{Tag: tag0 + len(out), Pump: true}
+	n := 0
+	for start := 0; start < len(lines); start = pumpSliceEnd(lines, start) {
+		n++
+	}
+	out := make([]Slice, 0, n)
+	elems := make([]Elem, len(lines))
+	for start := 0; start < len(lines); {
+		end := pumpSliceEnd(lines, start)
+		s := Slice{Tag: tag0 + len(out), Pump: true, Elems: elems[start:end:end]}
 		for j := start; j < end; j++ {
-			s.Elems = append(s.Elems, Elem{Index: j, Addr: lines[j].addr})
+			elems[j] = Elem{Index: j, Addr: lines[j].addr}
 			s.QWords += lines[j].qw
 		}
 		out = append(out, s)
 		start = end
 	}
 	return out
+}
+
+// pumpLine is one line a stride-1 access touches and its active quadwords.
+type pumpLine struct {
+	addr uint64
+	qw   int
+}
+
+// pumpSliceEnd returns the end of the pump slice that starts at lines[start].
+// Slices split at 1 KiB block boundaries: a block holds one line per bank,
+// so each pump slice is conflict-free. An aligned 128-element access is one
+// slice; a misaligned base straddles a block boundary and is forced to
+// generate two slices, both with the pump bit set (§3.4 footnote 3).
+func pumpSliceEnd(lines []pumpLine, start int) int {
+	block := lines[start].addr >> 10
+	end := start + 1
+	for end < len(lines) && end-start < NumBanks && lines[end].addr>>10 == block {
+		end++
+	}
+	return end
 }
 
 // reorderSlices implements the conflict-free reordering scheme. The full
@@ -216,19 +229,31 @@ func reorderSlices(base uint64, strideBytes int64, active []bool, tag0 int) []Sl
 		sched = computeSchedule(base, strideBytes)
 		scheduleROM.Store(key, sched)
 	}
-	var out []Slice
+	n := 0
 	for _, group := range sched {
-		s := Slice{Tag: tag0 + len(out)}
 		for _, idx := range group {
 			if idx < len(active) && active[idx] {
-				s.Elems = append(s.Elems, Elem{Index: idx, Addr: base + uint64(int64(idx)*strideBytes)})
+				n++
 			}
 		}
-		s.QWords = len(s.Elems)
+	}
+	// One Elem array backs every slice of the instruction.
+	elems := make([]Elem, 0, n)
+	out := make([]Slice, len(sched))
+	for g, group := range sched {
+		start := len(elems)
+		for _, idx := range group {
+			if idx < len(active) && active[idx] {
+				elems = append(elems, Elem{Index: idx, Addr: base + uint64(int64(idx)*strideBytes)})
+			}
+		}
 		// Empty groups still exist in the requesting order but produce no
 		// L2 traffic; the Vbox timing charges the address-generation cycle
 		// regardless, so we emit the (possibly empty) slice.
-		out = append(out, s)
+		out[g] = Slice{Tag: tag0 + g, QWords: len(elems) - start}
+		if len(elems) > start {
+			out[g].Elems = elems[start:len(elems):len(elems)]
+		}
 	}
 	return out
 }

@@ -19,6 +19,7 @@ func TestRandomTrafficCompletes(t *testing.T) {
 		c, z, st := testSetup()
 		expected, completed := 0, 0
 		done := func(uint64) { completed++ }
+		sliceDone := func(uint64, any) { completed++ }
 
 		cy := uint64(0)
 		for burst := 0; burst < 40; burst++ {
@@ -55,7 +56,7 @@ func TestRandomTrafficCompletes(t *testing.T) {
 						continue
 					}
 					sl.QWords = len(sl.Elems)
-					op := &SliceOp{Slice: sl, Write: rng.Intn(2) == 0, Done: done}
+					op := &SliceOp{Slice: sl, Write: rng.Intn(2) == 0, Done: sliceDone}
 					if c.SubmitSlice(op) {
 						expected++
 					}

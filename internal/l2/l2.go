@@ -10,6 +10,8 @@
 package l2
 
 import (
+	"math/bits"
+
 	"repro/internal/creorder"
 	"repro/internal/faults"
 	"repro/internal/metrics"
@@ -42,12 +44,18 @@ type Config struct {
 	Faults *faults.Injector
 }
 
-// SliceOp is a vector slice request walking the memory pipeline.
+// SliceOp is a vector slice request walking the memory pipeline. The
+// submitter owns it: the cache holds a pointer from SubmitSlice until it
+// calls Done (or, for a slice with no Done, until the slice hits), and the
+// submitter must not reuse it before then.
 type SliceOp struct {
 	Slice creorder.Slice
 	Write bool
-	// Done is called when the slice's data transfer completes.
-	Done func(cycle uint64)
+	// Done, when non-nil, is called as Done(cycle, Arg) when the slice's
+	// data transfer completes — the zbox.Request completion contract, so
+	// the submitter can bind one func for all its slices.
+	Done func(cycle uint64, arg any)
+	Arg  any
 
 	replays int
 	waiting int // outstanding line fills
@@ -63,11 +71,24 @@ type way struct {
 	lru    uint64
 }
 
-// pendingFill tracks one in-flight line fetch and the slices sleeping on it.
-type pendingFill struct {
+// mafEntry is one miss-address-file entry: an in-flight line fetch and the
+// requests sleeping on it. Entries live in a fixed array of MAFSize (the
+// hardware's 64-entry MAF) and are recycled, waiter slices included, so a
+// miss allocates nothing once the slices have grown to their working size.
+type mafEntry struct {
+	line     uint64
 	sleepers []*SliceOp
-	scalar   []func(cycle uint64) // scalar waiters (L1 refills)
-	forWrite bool
+	scalar   []scalarWaiter // scalar waiters (L1 refills and write drains)
+	next     int32          // next entry in the same hash bucket, or -1
+}
+
+// scalarWaiter is a scalar miss waiting on a fill: when the line arrives it
+// is marked dirty (write) and P-bit (the L1 now holds it), and done fires
+// lat cycles later.
+type scalarWaiter struct {
+	write bool
+	lat   uint64
+	done  func(cycle uint64)
 }
 
 // L2 is the cache model.
@@ -103,19 +124,32 @@ type L2 struct {
 	// be written through first.
 	OnPBitInvalidate func(lineAddr uint64) bool
 
-	readQ, writeQ []*SliceOp
-	scalarQ       []scalarReq
-	retryQ        []*SliceOp
+	readQ, writeQ, retryQ sched.FIFO[*SliceOp]
+	scalarQ               sched.FIFO[scalarReq]
 
-	// retrySliceFn re-queues a slice after a retry delay; bound once so the
-	// (hot) fill-completion and MAF-retry paths schedule without closures.
-	retrySliceFn func(uint64, any)
+	// Callbacks bound once at construction, so the hot paths schedule wheel
+	// events and Zbox reads with a pointer argument and no closure:
+	// retrySliceFn re-queues a *SliceOp after a retry delay, fillArrivedFn
+	// completes the fill of a *mafEntry, and scalarRetryFn re-queues a
+	// *scalarReq NACKed by a full MAF.
+	retrySliceFn, fillArrivedFn, scalarRetryFn func(uint64, any)
 
 	// missScratch backs lookupSlice's per-slice missing-line list, reused
 	// across slices (it never escapes the call).
 	missScratch []uint64
 
-	fills map[uint64]*pendingFill // line addr -> fill in flight
+	// The MAF: a fixed array of entries, a free list of their indices, and
+	// a chained hash from line address to the occupied entries (mafHash
+	// holds each bucket's first entry, -1 when empty).
+	maf      []mafEntry
+	mafFree  []int32
+	mafHash  []int32
+	mafShift uint // 64 - log2(len(mafHash))
+	mafUsed  int
+
+	// retryReqs recycles the boxes that carry MAF-NACKed scalar requests
+	// through the wheel.
+	retryReqs []*scalarReq
 
 	readBusFree, writeBusFree uint64
 
@@ -146,10 +180,29 @@ func New(cfg Config, reg *metrics.Registry, z *zbox.Zbox) *L2 {
 		tags:  make([]uint64, nsets*cfg.Assoc),
 		mask:  uint64(nsets - 1),
 		assoc: uint64(cfg.Assoc),
-		fills: make(map[uint64]*pendingFill),
+		maf:   make([]mafEntry, cfg.MAFSize),
 		wheel: sched.NewWheel(),
 	}
-	c.retrySliceFn = func(_ uint64, a any) { c.retryQ = append(c.retryQ, a.(*SliceOp)) }
+	// Two buckets per entry keeps chains short at full occupancy.
+	nb := 1 << bits.Len(uint(2*cfg.MAFSize-1))
+	c.mafHash = make([]int32, nb)
+	c.mafShift = uint(64 - bits.TrailingZeros(uint(nb)))
+	for i := range c.mafHash {
+		c.mafHash[i] = -1
+	}
+	c.mafFree = make([]int32, cfg.MAFSize)
+	for i := range c.mafFree {
+		// Popped from the back: entry 0 is handed out first.
+		c.mafFree[i] = int32(cfg.MAFSize - 1 - i)
+	}
+	c.retrySliceFn = func(_ uint64, a any) { c.retryQ.Push(a.(*SliceOp)) }
+	c.fillArrivedFn = c.fillArrived
+	c.scalarRetryFn = func(_ uint64, a any) {
+		r := a.(*scalarReq)
+		c.scalarQ.Push(*r)
+		*r = scalarReq{}
+		c.retryReqs = append(c.retryReqs, r)
+	}
 	for i := range c.tags {
 		c.tags[i] = ^uint64(0)
 	}
@@ -166,13 +219,13 @@ func New(cfg Config, reg *metrics.Registry, z *zbox.Zbox) *L2 {
 	c.mafPeak = m.Counter("maf_peak")
 	c.mafFullStalls = m.Counter("maf_full_stalls")
 	m.Gauge("read_q", "Vector read slices queued at the L2.",
-		func(uint64) int { return len(c.readQ) })
+		func(uint64) int { return c.readQ.Len() })
 	m.Gauge("write_q", "Vector write slices queued at the L2.",
-		func(uint64) int { return len(c.writeQ) })
+		func(uint64) int { return c.writeQ.Len() })
 	m.Gauge("retry_q", "Woken slices awaiting replay.",
-		func(uint64) int { return len(c.retryQ) })
+		func(uint64) int { return c.retryQ.Len() })
 	m.Gauge("maf", "Occupied miss-address-file entries.",
-		func(uint64) int { return len(c.fills) })
+		func(uint64) int { return c.mafUsed })
 	return c
 }
 
@@ -206,7 +259,7 @@ func (c *L2) touch(w *way) {
 func (c *L2) markDirty(w *way) {
 	if !w.dirty {
 		w.dirty = true
-		c.z.Request(w.tag, zbox.DirOp, nil)
+		c.z.Request(w.tag, zbox.DirOp, nil, nil)
 	}
 }
 
@@ -248,7 +301,7 @@ func (c *L2) install(line uint64, dirty bool) *way {
 		}
 		if w.dirty {
 			c.writebacks.Inc()
-			c.z.Request(w.tag, zbox.Write, nil)
+			c.z.Request(w.tag, zbox.Write, nil, nil)
 		}
 	}
 	*w = way{tag: line, valid: true, dirty: dirty}
@@ -256,7 +309,7 @@ func (c *L2) install(line uint64, dirty bool) *way {
 	c.touch(w)
 	if dirty {
 		// Fresh dirty allocation (WH64): Invalid→Dirty directory edge.
-		c.z.Request(line, zbox.DirOp, nil)
+		c.z.Request(line, zbox.DirOp, nil, nil)
 	}
 	return w
 }
@@ -271,10 +324,10 @@ func (c *L2) SubmitSlice(op *SliceOp) bool {
 	if op.Write {
 		q = &c.writeQ
 	}
-	if len(*q) >= c.cfg.SliceQueue {
+	if q.Len() >= c.cfg.SliceQueue {
 		return false
 	}
-	*q = append(*q, op)
+	q.Push(op)
 	return true
 }
 
@@ -282,37 +335,37 @@ func (c *L2) SubmitSlice(op *SliceOp) bool {
 // (an L1 refill). The P-bit is set: the core now has the line. done fires
 // when the line is available to the L1.
 func (c *L2) ScalarRead(cy uint64, addr uint64, done func(cycle uint64)) {
-	c.scalarQ = append(c.scalarQ, scalarReq{addr: c.line(addr), done: done})
+	c.scalarQ.Push(scalarReq{addr: c.line(addr), done: done})
 }
 
 // ScalarPrefetch is a non-binding scalar prefetch: it fills the L2 (and is
 // dropped on MAF pressure) but never blocks the requester.
 func (c *L2) ScalarPrefetch(cy uint64, addr uint64) {
-	c.scalarQ = append(c.scalarQ, scalarReq{addr: c.line(addr), pref: true})
+	c.scalarQ.Push(scalarReq{addr: c.line(addr), pref: true})
 }
 
 // ScalarWrite drains one store (or an L1 dirty writeback) into the cache,
 // setting the P-bit, per the write-buffer behaviour of §3.4. done, if
 // non-nil, fires when the write is durably in the L2 (DrainM waits on it).
 func (c *L2) ScalarWrite(cy uint64, addr uint64, done func(cycle uint64)) {
-	c.scalarQ = append(c.scalarQ, scalarReq{addr: c.line(addr), write: true, done: done})
+	c.scalarQ.Push(scalarReq{addr: c.line(addr), write: true, done: done})
 }
 
 // WH64 allocates the line dirty without a memory read (the write-hint that
 // saves read-for-ownership traffic). The allocation bypasses the L1, so the
 // P-bit is not set and later vector stores do not pay invalidates.
 func (c *L2) WH64(cy uint64, addr uint64, done func(cycle uint64)) {
-	c.scalarQ = append(c.scalarQ, scalarReq{addr: c.line(addr), write: true, wh64: true, done: done})
+	c.scalarQ.Push(scalarReq{addr: c.line(addr), write: true, wh64: true, done: done})
 }
 
 // Busy reports whether the cache still has work in flight.
 func (c *L2) Busy() bool {
-	return len(c.readQ)+len(c.writeQ)+len(c.scalarQ)+len(c.retryQ)+len(c.fills) > 0 ||
+	return c.readQ.Len()+c.writeQ.Len()+c.scalarQ.Len()+c.retryQ.Len()+c.mafUsed > 0 ||
 		c.wheel.Pending()
 }
 
 // MAFInUse returns the number of occupied miss entries.
-func (c *L2) MAFInUse() int { return len(c.fills) }
+func (c *L2) MAFInUse() int { return c.mafUsed }
 
 // NextWake returns the earliest cycle after now at which Tick can change any
 // cache state. Queued slices and scalar requests are serviced every cycle, so
@@ -321,7 +374,7 @@ func (c *L2) MAFInUse() int { return len(c.fills) }
 // whose own NextWake covers them). ^uint64(0) means nothing will ever happen
 // without new input.
 func (c *L2) NextWake(now uint64) uint64 {
-	if len(c.retryQ) > 0 || len(c.readQ) > 0 || len(c.writeQ) > 0 || len(c.scalarQ) > 0 {
+	if c.retryQ.Len() > 0 || c.readQ.Len() > 0 || c.writeQ.Len() > 0 || c.scalarQ.Len() > 0 {
 		return now + 1
 	}
 	wake := c.wheel.Next()
@@ -339,35 +392,32 @@ func (c *L2) Tick(cy uint64) {
 
 	// Replays have priority over new slices: a woken slice walks the pipe
 	// again ahead of fresh traffic (it holds a MAF entry others may need).
-	if len(c.retryQ) > 0 {
-		op := c.retryQ[0]
-		if c.tryBus(cy, op) {
-			c.retryQ = c.retryQ[1:]
+	if c.retryQ.Len() > 0 {
+		if op := c.retryQ.Front(); c.tryBus(cy, op) {
+			c.retryQ.Pop()
 			c.sliceReplays.Inc()
 			c.lookupSlice(cy, op)
 		}
 	}
 
 	// Accept at most one new slice per direction per cycle, bus permitting.
-	if len(c.readQ) > 0 && c.readQ[0] != nil {
-		if op := c.readQ[0]; c.tryBus(cy, op) {
-			c.readQ = c.readQ[1:]
+	if c.readQ.Len() > 0 {
+		if op := c.readQ.Front(); c.tryBus(cy, op) {
+			c.readQ.Pop()
 			c.lookupSlice(cy, op)
 		}
 	}
-	if len(c.writeQ) > 0 {
-		if op := c.writeQ[0]; c.tryBus(cy, op) {
-			c.writeQ = c.writeQ[1:]
+	if c.writeQ.Len() > 0 {
+		if op := c.writeQ.Front(); c.tryBus(cy, op) {
+			c.writeQ.Pop()
 			c.lookupSlice(cy, op)
 		}
 	}
 
 	// Two scalar requests per cycle (a line read + a line write stream,
 	// EV8's 273 GB/s sustainable figure from Table 3).
-	for n := 0; n < 2 && len(c.scalarQ) > 0; n++ {
-		req := c.scalarQ[0]
-		c.scalarQ = c.scalarQ[1:]
-		c.lookupScalar(cy, req)
+	for n := 0; n < 2 && c.scalarQ.Len() > 0; n++ {
+		c.lookupScalar(cy, c.scalarQ.Pop())
 	}
 }
 
@@ -447,7 +497,7 @@ func (c *L2) lookupSlice(cy uint64, op *SliceOp) {
 		}
 		lat += c.cfg.Faults.L2Latency(cy)
 		if op.Done != nil {
-			c.wheel.AtCall(cy+lat, callDone, op.Done)
+			c.wheel.AtCall(cy+lat, op.Done, op.Arg)
 		}
 		return
 	}
@@ -461,7 +511,7 @@ func (c *L2) lookupSlice(cy uint64, op *SliceOp) {
 	}
 	op.waiting = 0
 	for _, line := range missing {
-		if c.requestFill(line, op, op.Write) {
+		if c.requestFill(line, op) != nil {
 			op.waiting++
 		}
 	}
@@ -472,49 +522,96 @@ func (c *L2) lookupSlice(cy uint64, op *SliceOp) {
 	}
 }
 
-// requestFill attaches op to the in-flight fetch of line, creating it if
-// needed. Returns false when the MAF has no free entry.
-func (c *L2) requestFill(line uint64, op *SliceOp, forWrite bool) bool {
-	if pf, ok := c.fills[line]; ok {
-		if op != nil {
-			pf.sleepers = append(pf.sleepers, op)
-		}
-		pf.forWrite = pf.forWrite || forWrite
-		return true
-	}
-	if len(c.fills) >= c.cfg.MAFSize {
-		return false
-	}
-	pf := &pendingFill{forWrite: forWrite}
-	if op != nil {
-		pf.sleepers = append(pf.sleepers, op)
-	}
-	c.fills[line] = pf
-	c.mafPeak.Peak(uint64(len(c.fills)))
-	c.z.Request(line, zbox.Read, func(cycle uint64) { c.fillArrived(cycle, line) })
-	return true
+// mafBucket hashes a line address to its MAF hash bucket (Fibonacci
+// hashing, so power-of-two line strides still spread across buckets).
+func (c *L2) mafBucket(line uint64) int {
+	return int((line * 0x9E3779B97F4A7C15) >> c.mafShift)
 }
 
-// fillArrived installs the line and wakes sleepers whose waiting bits all
-// cleared; they move to the retry queue and walk the pipe again.
-func (c *L2) fillArrived(cy uint64, line uint64) {
-	pf := c.fills[line]
-	w := c.install(line, false)
+// findFill returns the MAF entry fetching line, or nil.
+func (c *L2) findFill(line uint64) *mafEntry {
+	for i := c.mafHash[c.mafBucket(line)]; i >= 0; i = c.maf[i].next {
+		if c.maf[i].line == line {
+			return &c.maf[i]
+		}
+	}
+	return nil
+}
+
+// requestFill attaches op to the in-flight fetch of line, creating it if
+// needed, and returns the fill's MAF entry — nil when the MAF has no free
+// entry.
+func (c *L2) requestFill(line uint64, op *SliceOp) *mafEntry {
+	e := c.findFill(line)
+	if e == nil {
+		if len(c.mafFree) == 0 {
+			return nil
+		}
+		i := c.mafFree[len(c.mafFree)-1]
+		c.mafFree = c.mafFree[:len(c.mafFree)-1]
+		e = &c.maf[i]
+		b := c.mafBucket(line)
+		e.line, e.next = line, c.mafHash[b]
+		c.mafHash[b] = i
+		c.mafUsed++
+		c.mafPeak.Peak(uint64(c.mafUsed))
+		c.z.Request(line, zbox.Read, c.fillArrivedFn, e)
+	}
+	if op != nil {
+		e.sleepers = append(e.sleepers, op)
+	}
+	return e
+}
+
+// fillArrived installs the line of the *mafEntry a and wakes sleepers whose
+// waiting bits all cleared; they move to the retry queue and walk the pipe
+// again. Scalar waiters complete in arrival order.
+func (c *L2) fillArrived(cy uint64, a any) {
+	e := a.(*mafEntry)
+	w := c.install(e.line, false)
 	if w == nil {
 		// Every way pinned by panicked slices: retry the install shortly.
-		c.wheel.At(cy+1, func() { c.fillArrived(cy+1, line) })
+		c.wheel.AtCall(cy+1, c.fillArrivedFn, e)
 		return
 	}
-	delete(c.fills, line)
-	for _, op := range pf.sleepers {
+	// Unhash the entry first (the line is resident now, so no request can
+	// merge into it) but return it to the free list only after its waiters
+	// ran, so nothing those callbacks do can reuse it mid-walk.
+	i := c.unhashFill(e)
+	for _, op := range e.sleepers {
 		op.waiting--
 		if op.waiting == 0 {
 			c.wheel.AtCall(cy+uint64(c.cfg.RetryDelay), c.retrySliceFn, op)
 		}
 	}
-	for _, done := range pf.scalar {
-		done(cy)
+	for _, sw := range e.scalar {
+		if w := c.probe(e.line); w != nil {
+			if sw.write {
+				c.markDirty(w)
+			}
+			w.pbit = true
+		}
+		if sw.done != nil {
+			sw.done(cy + sw.lat)
+		}
 	}
+	clear(e.sleepers)
+	clear(e.scalar)
+	e.sleepers, e.scalar = e.sleepers[:0], e.scalar[:0]
+	c.mafFree = append(c.mafFree, i)
+}
+
+// unhashFill removes e from its hash chain and the occupancy count, and
+// returns its index in the MAF array.
+func (c *L2) unhashFill(e *mafEntry) int32 {
+	p := &c.mafHash[c.mafBucket(e.line)]
+	for c.maf[*p].line != e.line {
+		p = &c.maf[*p].next
+	}
+	i := *p
+	*p = e.next
+	c.mafUsed--
+	return i
 }
 
 // enterPanic pins the slice's lines so competing traffic cannot evict them
@@ -572,37 +669,29 @@ func (c *L2) lookupScalar(cy uint64, req scalarReq) {
 	c.misses.Inc()
 	if req.pref {
 		// Prefetches are dropped rather than stalled when the MAF is full.
-		c.requestFill(req.addr, nil, false)
+		c.requestFill(req.addr, nil)
 		return
 	}
-	pf, ok := c.fills[req.addr]
-	if !ok {
-		if !c.requestFill(req.addr, nil, req.write) {
-			// MAF full: retry the scalar request next cycle.
-			c.mafFullStalls.Inc()
-			c.wheel.At(cy+1, func() { c.scalarQ = append(c.scalarQ, req) })
-			return
+	e := c.requestFill(req.addr, nil)
+	if e == nil {
+		// MAF full: retry the scalar request next cycle.
+		c.mafFullStalls.Inc()
+		var r *scalarReq
+		if n := len(c.retryReqs); n > 0 {
+			r = c.retryReqs[n-1]
+			c.retryReqs = c.retryReqs[:n-1]
+		} else {
+			r = new(scalarReq)
 		}
-		pf = c.fills[req.addr]
+		*r = req
+		c.wheel.AtCall(cy+1, c.scalarRetryFn, r)
+		return
 	}
-	write := req.write
-	addr := req.addr
-	done := req.done
 	lat := uint64(c.cfg.ScalarLat) + c.cfg.Faults.L2Latency(cy)
-	pf.scalar = append(pf.scalar, func(cycle uint64) {
-		if w := c.probe(addr); w != nil {
-			if write {
-				c.markDirty(w)
-			}
-			w.pbit = true
-		}
-		if done != nil {
-			done(cycle + lat)
-		}
-	})
+	e.scalar = append(e.scalar, scalarWaiter{write: req.write, lat: lat, done: req.done})
 }
 
 // Depths reports the cache's queue occupancies for profiling tools.
 func (c *L2) Depths() (readQ, writeQ, retryQ, maf int) {
-	return len(c.readQ), len(c.writeQ), len(c.retryQ), len(c.fills)
+	return c.readQ.Len(), c.writeQ.Len(), c.retryQ.Len(), c.mafUsed
 }

@@ -77,12 +77,12 @@ func TestSliceHitLatencies(t *testing.T) {
 	var pumpDone, oddDone uint64
 	p := mkSlice(0x20000, 16, false)
 	p.Slice.Pump = true
-	p.Done = func(cy uint64) { pumpDone = cy }
+	p.Done = func(cy uint64, _ any) { pumpDone = cy }
 	c.SubmitSlice(p)
 	start := uint64(1000)
 	drive(c, z, start, 10_000)
 	o := mkSlice(0x20000, 16, false)
-	o.Done = func(cy uint64) { oddDone = cy }
+	o.Done = func(cy uint64, _ any) { oddDone = cy }
 	c.SubmitSlice(o)
 	start2 := pumpDone
 	drive(c, z, start2, 10_000)
@@ -101,7 +101,7 @@ func TestSliceAtomicMissSleepsInMAF(t *testing.T) {
 	c, z, st := testSetup()
 	var done uint64
 	s := mkSlice(0x40000, 16, false)
-	s.Done = func(cy uint64) { done = cy }
+	s.Done = func(cy uint64, _ any) { done = cy }
 	c.SubmitSlice(s)
 	// Tick once: the slice looks up, misses on all 16 lines, sleeps.
 	z.Tick(1)
@@ -133,7 +133,7 @@ func TestFillMergesSleepers(t *testing.T) {
 	done := 0
 	for k := 0; k < 3; k++ {
 		s := mkSlice(0x50000, 16, false) // same 16 lines each time
-		s.Done = func(uint64) { done++ }
+		s.Done = func(uint64, any) { done++ }
 		c.SubmitSlice(s)
 	}
 	drive(c, z, 0, 20_000)
@@ -149,7 +149,7 @@ func TestWriteSliceMarksDirtyAndWritesBack(t *testing.T) {
 	c, z, st := testSetup()
 	var done uint64
 	s := mkSlice(0x60000, 16, true)
-	s.Done = func(cy uint64) { done = cy }
+	s.Done = func(cy uint64, _ any) { done = cy }
 	c.SubmitSlice(s)
 	drive(c, z, 0, 20_000)
 	if done == 0 {
@@ -187,7 +187,7 @@ func TestPBitInvalidateOnVectorTouch(t *testing.T) {
 	// Vector slice touching the same line must invalidate the L1 copy.
 	s := mkSlice(0x70000, 1, false)
 	var done uint64
-	s.Done = func(cy uint64) { done = cy }
+	s.Done = func(cy uint64, _ any) { done = cy }
 	c.SubmitSlice(s)
 	drive(c, z, 5000, 10_000)
 	if done == 0 {
@@ -233,7 +233,7 @@ func TestMAFFullBackpressure(t *testing.T) {
 	done := 0
 	for k := 0; k < 5; k++ {
 		s := mkSlice(0xA0000+uint64(k)*16*64, 16, false)
-		s.Done = func(uint64) { done++ }
+		s.Done = func(uint64, any) { done++ }
 		c.SubmitSlice(s)
 	}
 	drive(c, z, 0, 50_000)
@@ -259,10 +259,10 @@ func TestPumpBusOccupancy(t *testing.T) {
 	var d1, d2 uint64
 	p1 := mkSlice(0xB0000, 16, false)
 	p1.Slice.Pump = true
-	p1.Done = func(cy uint64) { d1 = cy }
+	p1.Done = func(cy uint64, _ any) { d1 = cy }
 	p2 := mkSlice(0xB0000+16*64, 16, false)
 	p2.Slice.Pump = true
-	p2.Done = func(cy uint64) { d2 = cy }
+	p2.Done = func(cy uint64, _ any) { d2 = cy }
 	c.SubmitSlice(p1)
 	c.SubmitSlice(p2)
 	drive(c, z, 2000, 10_000)
@@ -281,7 +281,7 @@ func TestPanicModeOnRepeatedReplay(t *testing.T) {
 	// being evicted by a stream of scalar fills mapping to the same set.
 	var done uint64
 	s := mkSlice(0xC0000, 1, false)
-	s.Done = func(cy uint64) { done = cy }
+	s.Done = func(cy uint64, _ any) { done = cy }
 	c.SubmitSlice(s)
 	cy := uint64(0)
 	for i := 0; done == 0 && i < 40_000; i++ {

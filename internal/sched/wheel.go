@@ -1,7 +1,8 @@
 // Package sched provides the simulator's event scheduling machinery: a
-// hierarchical timing wheel (Wheel) for per-component completion events, and
-// an ordered participant group (Group) the chip loop uses to advance only the
-// components that actually have work on a given cycle.
+// hierarchical timing wheel (Wheel) for per-component completion events, an
+// ordered participant group (Group) the chip loop uses to advance only the
+// components that actually have work on a given cycle, and the
+// allocation-free FIFO behind the components' hardware queues.
 //
 // The Wheel replaces the map-keyed event multimaps the components grew up
 // with (pipe.EventWheel and the local copies in l2/zbox). Those maps made

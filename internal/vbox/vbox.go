@@ -85,7 +85,7 @@ type VBox struct {
 	queued     int
 	vregsInUse int // physical vector registers held by in-flight writers
 	readyArith pipe.ReadyQueue
-	readyMem   []*pipe.UOp // FIFO: the address generators serialise these
+	readyMem   sched.FIFO[*pipe.UOp] // the address generators serialise these
 
 	portFree []uint64
 
@@ -95,8 +95,7 @@ type VBox struct {
 	agFree   uint64 // address generators busy until
 	memInFly int
 
-	readSubQ  []*pendingSlice
-	writeSubQ []*pendingSlice
+	readSubQ, writeSubQ sched.FIFO[pendingSlice]
 
 	tlb         []laneTLB
 	lastPage    uint64
@@ -106,10 +105,11 @@ type VBox struct {
 
 	wheel *sched.Wheel
 
-	// Bound method values for AtCall, so completion scheduling allocates
-	// nothing per event.
+	// Bound method values for AtCall and SliceOp.Done, so completion
+	// scheduling allocates nothing per event.
 	finishFn    func(uint64, any)
 	memFinishFn func(uint64, any)
+	sliceDoneFn func(uint64, any)
 
 	// activeScratch is the per-instruction element mask, reused across
 	// buildSlices calls instead of allocated per vector memory instruction.
@@ -140,6 +140,15 @@ func New(cfg Config, reg *metrics.Registry, l2c *l2.L2) *VBox {
 		v.memInFly--
 		v.finish(cy, a.(*pipe.UOp))
 	}
+	// Every slice of a load or store reports here; the last one to arrive
+	// starts the register-file writeback.
+	v.sliceDoneFn = func(cy uint64, a any) {
+		u := a.(*pipe.UOp)
+		u.SlicesOut--
+		if u.SlicesOut == 0 {
+			v.wheel.AtCall(cy+uint64(v.cfg.WritebackLat), v.memFinishFn, u)
+		}
+	}
 	v.Space = vm.NewIdentity()
 	m := reg.Scope("vbox")
 	v.vsBusTransfers = m.Counter("vs_bus_transfers")
@@ -156,7 +165,7 @@ func New(cfg Config, reg *metrics.Registry, l2c *l2.L2) *VBox {
 	m.Gauge("queued", "Dispatched, waiting vector instructions.",
 		func(uint64) int { return v.queued })
 	m.Gauge("slices_wait", "Slices generated but not yet accepted by the L2.",
-		func(uint64) int { return len(v.readSubQ) + len(v.writeSubQ) })
+		func(uint64) int { return v.readSubQ.Len() + v.writeSubQ.Len() })
 	return v
 }
 
@@ -210,7 +219,7 @@ func (v *VBox) finish(cy uint64, u *pipe.UOp) {
 // operand (scalar or vector) completes.
 func (v *VBox) MarkReady(cy uint64, u *pipe.UOp) {
 	if u.Inst.IsVMem() {
-		v.readyMem = append(v.readyMem, u)
+		v.readyMem.Push(u)
 	} else {
 		v.readyArith.Push(u)
 	}
@@ -219,7 +228,7 @@ func (v *VBox) MarkReady(cy uint64, u *pipe.UOp) {
 // Busy reports in-flight Vbox work.
 func (v *VBox) Busy() bool {
 	return v.queued > 0 || v.memInFly > 0 || v.readyArith.Len() > 0 ||
-		len(v.readyMem) > 0 || len(v.readSubQ) > 0 || len(v.writeSubQ) > 0 ||
+		v.readyMem.Len() > 0 || v.readSubQ.Len() > 0 || v.writeSubQ.Len() > 0 ||
 		v.wheel.Pending()
 }
 
@@ -247,7 +256,7 @@ func (v *VBox) NextWake(now uint64) uint64 {
 			wake = c
 		}
 	}
-	if len(v.readyMem) > 0 && v.memInFly < v.cfg.MemInsts {
+	if v.readyMem.Len() > 0 && v.memInFly < v.cfg.MemInsts {
 		min1(v.agFree)
 	}
 	if v.readyArith.Len() > 0 {
@@ -259,11 +268,11 @@ func (v *VBox) NextWake(now uint64) uint64 {
 		}
 		min1(earliest)
 	}
-	if len(v.readSubQ) > 0 {
-		min1(v.readSubQ[0].availCy)
+	if v.readSubQ.Len() > 0 {
+		min1(v.readSubQ.Front().availCy)
 	}
-	if len(v.writeSubQ) > 0 {
-		min1(v.writeSubQ[0].availCy)
+	if v.writeSubQ.Len() > 0 {
+		min1(v.writeSubQ.Front().availCy)
 	}
 	if wake <= now {
 		wake = now + 1
@@ -279,9 +288,8 @@ func (v *VBox) issue(cy uint64) {
 	}
 	// One memory instruction can enter the address generators per cycle;
 	// head-of-line only, since the AG stage serialises them anyway.
-	if len(v.readyMem) > 0 && v.issueMem(cy, v.readyMem[0]) {
-		copy(v.readyMem, v.readyMem[1:])
-		v.readyMem = v.readyMem[:len(v.readyMem)-1]
+	if v.readyMem.Len() > 0 && v.issueMem(cy, v.readyMem.Front()) {
+		v.readyMem.Pop()
 	}
 	// Arithmetic issues oldest-first while ports accept.
 	for issued := 0; v.readyArith.Len() > 0 && issued < v.cfg.Ports; issued++ {
@@ -395,37 +403,29 @@ func (v *VBox) issueMem(cy uint64, u *pipe.UOp) bool {
 		return true
 	}
 
+	// The instruction's slice ops share one allocation, which the L2
+	// references until each op's Done (prefetch slices have none: they
+	// are dropped once their lines are resident).
+	ops := make([]l2.SliceOp, len(slices))
+	q := &v.readSubQ
 	if prefetch {
 		// Prefetches do not block: the instruction completes once its
 		// addresses are generated; the slices fill the L2 in the background.
 		v.wheel.AtCall(v.agFree, v.memFinishFn, u)
 		for i, s := range slices {
-			ps := &pendingSlice{
-				op:      &l2.SliceOp{Slice: s, Write: false},
-				availCy: agStart + uint64(i),
-			}
-			v.readSubQ = append(v.readSubQ, ps)
+			ops[i] = l2.SliceOp{Slice: s}
 		}
-		return true
-	}
-
-	u.SlicesOut = len(slices)
-	// One Done callback per instruction, shared by all its slices (the old
-	// per-slice closures were len(slices) identical allocations).
-	sliceDone := func(doneCy uint64) {
-		u.SlicesOut--
-		if u.SlicesOut == 0 {
-			v.wheel.AtCall(doneCy+uint64(v.cfg.WritebackLat), v.memFinishFn, u)
+	} else {
+		u.SlicesOut = len(slices)
+		for i, s := range slices {
+			ops[i] = l2.SliceOp{Slice: s, Write: write, Done: v.sliceDoneFn, Arg: u}
 		}
-	}
-	for i, s := range slices {
-		op := &l2.SliceOp{Slice: s, Write: write, Done: sliceDone}
-		ps := &pendingSlice{op: op, availCy: agStart + uint64(i)}
 		if write {
-			v.writeSubQ = append(v.writeSubQ, ps)
-		} else {
-			v.readSubQ = append(v.readSubQ, ps)
+			q = &v.writeSubQ
 		}
+	}
+	for i := range ops {
+		q.Push(pendingSlice{op: &ops[i], availCy: agStart + uint64(i)})
 	}
 	return true
 }
@@ -495,14 +495,9 @@ func (v *VBox) buildSlices(u *pipe.UOp) ([]creorder.Slice, int) {
 // submitSlices pushes at most one available slice per direction into the L2
 // each cycle, preserving pipeline order.
 func (v *VBox) submitSlices(cy uint64) {
-	if len(v.readSubQ) > 0 && v.readSubQ[0].availCy <= cy {
-		if v.l2c.SubmitSlice(v.readSubQ[0].op) {
-			v.readSubQ = v.readSubQ[1:]
-		}
-	}
-	if len(v.writeSubQ) > 0 && v.writeSubQ[0].availCy <= cy {
-		if v.l2c.SubmitSlice(v.writeSubQ[0].op) {
-			v.writeSubQ = v.writeSubQ[1:]
+	for _, q := range [2]*sched.FIFO[pendingSlice]{&v.readSubQ, &v.writeSubQ} {
+		if q.Len() > 0 && q.Front().availCy <= cy && v.l2c.SubmitSlice(q.Front().op) {
+			q.Pop()
 		}
 	}
 }
@@ -610,7 +605,7 @@ func (v *VBox) Snapshot(cy uint64) Utilization {
 	u := Utilization{
 		MemInFly:   v.memInFly,
 		Queued:     v.queued,
-		SlicesWait: len(v.readSubQ) + len(v.writeSubQ),
+		SlicesWait: v.readSubQ.Len() + v.writeSubQ.Len(),
 	}
 	for _, free := range v.portFree {
 		if free > cy {

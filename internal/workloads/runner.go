@@ -90,9 +90,13 @@ func (b *Benchmark) RunOpt(cfg *sim.Config, s Scale, opts RunOpts) (*Result, err
 			return nil, fmt.Errorf("%s on %s: %w", b.Name, cfg.Name, err)
 		}
 	}
+	// Copy the counters out: without a warm-up phase out.Stats is the chip
+	// registry's live view, and the registry's gauges reference the whole
+	// chip, which a memoised or stored Result would otherwise keep alive.
+	st := *out.Stats
 	return &Result{
 		Bench: b.Name, Config: cfg.Name, Scale: s,
-		Stats: out.Stats, Series: out.Series,
+		Stats: &st, Series: out.Series,
 		SimCycles: out.SimCycles, WallNs: int64(out.SimWall),
 		WarmupCycles: out.WarmupCycles, WarmupRestored: out.WarmupRestored,
 	}, nil

@@ -48,11 +48,12 @@ type Config struct {
 type request struct {
 	addr uint64
 	kind Kind
-	done func(cycle uint64)
+	fn   func(cycle uint64, arg any)
+	arg  any
 }
 
 type port struct {
-	queue     []request
+	queue     sched.FIFO[request]
 	busyUntil uint64
 	lastKind  Kind
 	openRow   []uint64 // per device; ^0 = closed
@@ -93,13 +94,17 @@ func New(cfg Config, reg *metrics.Registry) *Zbox {
 	return z
 }
 
-// Request enqueues a transaction for the line containing addr. done is
-// called with the cycle at which the transaction's data is available (reads)
-// or durably accepted (writes/directory ops). Lines interleave across ports
-// by address bits just above the line offset.
-func (z *Zbox) Request(addr uint64, kind Kind, done func(cycle uint64)) {
+// Request enqueues a transaction for the line containing addr. When fn is
+// non-nil the controller calls fn(cycle, arg) at the cycle the transaction's
+// data is available (reads) or durably accepted (writes/directory ops); a
+// nil fn asks for no completion. The split form keeps requests
+// allocation-free: callers pass a func value bound once at construction and
+// a pointer-shaped arg (storing either in the request costs nothing), where
+// a per-request closure would cost a heap allocation. Lines interleave
+// across ports by address bits just above the line offset.
+func (z *Zbox) Request(addr uint64, kind Kind, fn func(cycle uint64, arg any), arg any) {
 	p := z.ports[int(addr>>6)%len(z.ports)]
-	p.queue = append(p.queue, request{addr: addr, kind: kind, done: done})
+	p.queue.Push(request{addr: addr, kind: kind, fn: fn, arg: arg})
 }
 
 // Busy reports whether any transactions are queued, in flight, or have
@@ -109,7 +114,7 @@ func (z *Zbox) Busy() bool {
 		return true
 	}
 	for _, p := range z.ports {
-		if len(p.queue) > 0 {
+		if p.queue.Len() > 0 {
 			return true
 		}
 	}
@@ -121,11 +126,10 @@ func (z *Zbox) Busy() bool {
 func (z *Zbox) Tick(c uint64) {
 	z.wheel.Advance(c)
 	for pi, p := range z.ports {
-		if p.busyUntil > c || len(p.queue) == 0 {
+		if p.busyUntil > c || p.queue.Len() == 0 {
 			continue
 		}
-		req := p.queue[0]
-		p.queue = p.queue[1:]
+		req := p.queue.Pop()
 		occ := z.cfg.LineCycles
 
 		// Open-row model: sequential streams stay within a page and pay
@@ -162,15 +166,11 @@ func (z *Zbox) Tick(c uint64) {
 		case DirOp:
 			z.dirOps.Inc()
 		}
-		if req.done != nil {
-			z.wheel.AtCall(c+uint64(occ)+uint64(z.cfg.BaseLatency), callDone, req.done)
+		if req.fn != nil {
+			z.wheel.AtCall(c+uint64(occ)+uint64(z.cfg.BaseLatency), req.fn, req.arg)
 		}
 	}
 }
-
-// callDone invokes a stored completion callback with the fired cycle,
-// allocation-free (see the l2 package's twin).
-func callDone(cy uint64, a any) { a.(func(uint64))(cy) }
 
 // NextWake returns the earliest cycle after now at which Tick can change any
 // controller state: the next completion delivery, or the first cycle a port
@@ -179,7 +179,7 @@ func callDone(cy uint64, a any) { a.(func(uint64))(cy) }
 func (z *Zbox) NextWake(now uint64) uint64 {
 	wake := z.wheel.Next()
 	for _, p := range z.ports {
-		if len(p.queue) == 0 {
+		if p.queue.Len() == 0 {
 			continue
 		}
 		start := p.busyUntil
@@ -201,7 +201,7 @@ func (z *Zbox) NextWake(now uint64) uint64 {
 func (z *Zbox) QueueDepth() int {
 	n := 0
 	for _, p := range z.ports {
-		n += len(p.queue)
+		n += p.queue.Len()
 	}
 	return n
 }

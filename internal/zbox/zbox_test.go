@@ -33,7 +33,7 @@ func TestSingleReadLatency(t *testing.T) {
 	z := New(testCfg(), reg)
 	st := reg.Stats()
 	var done uint64
-	z.Request(0x1000, Read, func(cy uint64) { done = cy })
+	z.Request(0x1000, Read, func(cy uint64, _ any) { done = cy }, nil)
 	end := drive(z, 0, 10_000)
 	if done == 0 {
 		t.Fatalf("read never completed (end cycle %d)", end)
@@ -53,8 +53,8 @@ func TestRowHitVsMiss(t *testing.T) {
 	z := New(testCfg(), reg)
 	st := reg.Stats()
 	// Reads on different ports each open their own row.
-	z.Request(0x0, Read, nil)  // port 0
-	z.Request(0x40, Read, nil) // port 1
+	z.Request(0x0, Read, nil, nil)  // port 0
+	z.Request(0x40, Read, nil, nil) // port 1
 	drive(z, 0, 10_000)
 	if st.RowActivates != 2 {
 		t.Fatalf("expected 2 activates on distinct ports, got %d", st.RowActivates)
@@ -63,8 +63,8 @@ func TestRowHitVsMiss(t *testing.T) {
 	reg2 := metrics.NewRegistry()
 	z2 := New(testCfg(), reg2)
 	st2 := reg2.Stats()
-	z2.Request(0x0, Read, nil)
-	z2.Request(0x0+8*64, Read, nil) // +512B: port = same (addr>>6 mod 8), row same
+	z2.Request(0x0, Read, nil, nil)
+	z2.Request(0x0+8*64, Read, nil, nil) // +512B: port = same (addr>>6 mod 8), row same
 	drive(z2, 0, 10_000)
 	if st2.RowActivates != 1 || st2.RowHits != 1 {
 		t.Fatalf("activates=%d hits=%d, want 1/1", st2.RowActivates, st2.RowHits)
@@ -75,9 +75,9 @@ func TestReadWriteTurnaround(t *testing.T) {
 	reg := metrics.NewRegistry()
 	z := New(testCfg(), reg)
 	st := reg.Stats()
-	z.Request(0x0, Read, nil)
-	z.Request(0x0+512, Write, nil)
-	z.Request(0x0+1024, Read, nil)
+	z.Request(0x0, Read, nil, nil)
+	z.Request(0x0+512, Write, nil, nil)
+	z.Request(0x0+1024, Read, nil, nil)
 	drive(z, 0, 10_000)
 	if st.Turnarounds != 2 {
 		t.Fatalf("turnarounds = %d, want 2 (read→write→read)", st.Turnarounds)
@@ -93,7 +93,7 @@ func TestPortParallelism(t *testing.T) {
 		z := New(cfg, reg)
 		var last uint64
 		for i := uint64(0); i < 64; i++ {
-			z.Request(i*stride, Read, func(cy uint64) { last = cy })
+			z.Request(i*stride, Read, func(cy uint64, _ any) { last = cy }, nil)
 		}
 		drive(z, 0, 100_000)
 		return last
@@ -109,7 +109,7 @@ func TestDirOpCountsInRawTraffic(t *testing.T) {
 	reg := metrics.NewRegistry()
 	z := New(testCfg(), reg)
 	st := reg.Stats()
-	z.Request(0x40, DirOp, nil)
+	z.Request(0x40, DirOp, nil, nil)
 	drive(z, 0, 10_000)
 	if st.MemDirOps != 1 {
 		t.Fatalf("dir ops = %d", st.MemDirOps)
@@ -127,7 +127,7 @@ func TestBandwidthUnderLoad(t *testing.T) {
 	z := New(cfg, reg)
 	const n = 800
 	for i := uint64(0); i < n; i++ {
-		z.Request(i*64, Read, nil)
+		z.Request(i*64, Read, nil, nil)
 	}
 	end := drive(z, 0, 1_000_000)
 	perPort := n / uint64(cfg.Ports)
@@ -143,7 +143,7 @@ func TestRandomStreamActivatesMoreRows(t *testing.T) {
 	z := New(cfg, regSeq)
 	seq := regSeq.Stats()
 	for i := uint64(0); i < 256; i++ {
-		z.Request(i*64, Read, nil)
+		z.Request(i*64, Read, nil, nil)
 	}
 	drive(z, 0, 1_000_000)
 
@@ -153,7 +153,7 @@ func TestRandomStreamActivatesMoreRows(t *testing.T) {
 	for i := uint64(0); i < 256; i++ {
 		// Large-stride pseudo-random addresses thrash the open rows —
 		// the RndMemScale effect ("2.5X more row activates", §6).
-		z2.Request((i*2654435761)%(1<<26)&^63, Read, nil)
+		z2.Request((i*2654435761)%(1<<26)&^63, Read, nil, nil)
 	}
 	drive(z2, 0, 1_000_000)
 
@@ -167,8 +167,7 @@ func TestCompletionOrderWithinPort(t *testing.T) {
 	z := New(testCfg(), reg)
 	var order []int
 	for i := 0; i < 4; i++ {
-		i := i
-		z.Request(uint64(i)*512*8, Read, func(uint64) { order = append(order, i) })
+		z.Request(uint64(i)*512*8, Read, func(_ uint64, arg any) { order = append(order, arg.(int)) }, i)
 	}
 	drive(z, 0, 100_000)
 	for i := 1; i < len(order); i++ {
