@@ -203,8 +203,20 @@ func main() {
 	opc, fpc, mpc, other := res.OPC()
 	fmt.Printf("%s on %s (%s scale)\n", *bench, cfg.Name, scale)
 	fmt.Printf("cycles  %d\n", res.Stats.Cycles)
-	fmt.Printf("speed   %.2f Mcps (simulated cycles per wall second, %.2fs wall)\n",
-		float64(res.Stats.Cycles)/wall/1e6, wall)
+	// The loop's own throughput: every cycle the chip simulated (warm-up and
+	// drain included) over the time its cycle loop ran. A restored warm-up
+	// was not simulated, so its cycles are left out. The whole run's wall
+	// time also covers trace production, chip build and checking.
+	simulated := res.SimCycles
+	if res.WarmupRestored {
+		simulated -= res.WarmupCycles
+	}
+	loopMcps := 0.0
+	if res.WallNs > 0 {
+		loopMcps = float64(simulated) / (float64(res.WallNs) / 1e9) / 1e6
+	}
+	fmt.Printf("speed   %.2f Mcps (simulated cycles per second of the cycle loop; whole run %.2fs wall)\n",
+		loopMcps, wall)
 	fmt.Printf("opc     %.2f  (fpc %.2f, mpc %.2f, other %.2f)\n", opc, fpc, mpc, other)
 	if ub := b.UsefulBytes; ub != nil {
 		res.Stats.UsefulBytes = ub(scale)

@@ -179,29 +179,32 @@ func b2q(b bool) uint64 {
 	return 0
 }
 
-// Step executes one instruction and returns its dynamic effect. Branch
-// targets are not followed here; the caller (the vasm trace builder or the
-// program Runner) owns control flow.
-func (m *Machine) Step(in *isa.Inst) Effect {
+// Step executes one instruction and writes its dynamic effect into *e,
+// overwriting every field, so a trace builder can step straight into the
+// record it emits. Branch targets are not followed here; the caller (the
+// vasm trace builder or the program Runner) owns control flow. If the
+// instruction faults (Step panics), *e is left unchanged.
+func (m *Machine) Step(in *isa.Inst, e *Effect) {
 	info := in.Info()
 	switch info.Group {
 	case isa.GScalar:
-		return m.stepScalar(in, info)
+		m.stepScalar(in, e)
 	case isa.GVV:
-		return m.stepVV(in)
+		m.stepVV(in, e)
 	case isa.GVS:
-		return m.stepVS(in)
+		m.stepVS(in, e)
 	case isa.GSM:
-		return m.stepSM(in, info)
+		m.stepSM(in, info, e)
 	case isa.GRM:
-		return m.stepRM(in, info)
+		m.stepRM(in, info, e)
 	case isa.GVC:
-		return m.stepVC(in)
+		m.stepVC(in, e)
+	default:
+		panic("arch: unknown group")
 	}
-	panic("arch: unknown group")
 }
 
-func (m *Machine) stepScalar(in *isa.Inst, info *isa.Info) Effect {
+func (m *Machine) stepScalar(in *isa.Inst, e *Effect) {
 	var a, b uint64
 	if in.Src1.Valid() {
 		a = m.rr(in.Src1)
@@ -268,33 +271,26 @@ func (m *Machine) stepScalar(in *isa.Inst, info *isa.Info) Effect {
 	case isa.OpLDQ, isa.OpLDT:
 		ea := m.rr(in.Src2) + uint64(in.Imm)
 		m.wr(in.Dst, m.Mem.LoadQ(ea))
-		return Effect{Addrs: m.addr1(ea), Active: 1}
+		*e = Effect{Addrs: m.addr1(ea), Active: 1}
+		return
 	case isa.OpPREFQ:
 		ea := m.rr(in.Src2) + uint64(in.Imm)
-		return Effect{Addrs: m.addr1(ea), Active: 1}
+		*e = Effect{Addrs: m.addr1(ea), Active: 1}
+		return
 	case isa.OpSTQ, isa.OpSTT:
 		ea := m.rr(in.Src2) + uint64(in.Imm)
 		m.Mem.StoreQ(ea, m.rr(in.Src1))
-		return Effect{Addrs: m.addr1(ea), Active: 1}
+		*e = Effect{Addrs: m.addr1(ea), Active: 1}
+		return
 	case isa.OpWH64:
 		ea := (m.rr(in.Src2) + uint64(in.Imm)) &^ 63
 		m.Mem.ZeroLine(ea)
-		return Effect{Addrs: m.addr1(ea), Active: 1}
+		*e = Effect{Addrs: m.addr1(ea), Active: 1}
+		return
 
-	case isa.OpBR:
-		return Effect{Taken: true}
-	case isa.OpBEQ:
-		return Effect{Taken: a == 0}
-	case isa.OpBNE:
-		return Effect{Taken: a != 0}
-	case isa.OpBLT:
-		return Effect{Taken: int64(a) < 0}
-	case isa.OpBLE:
-		return Effect{Taken: int64(a) <= 0}
-	case isa.OpBGT:
-		return Effect{Taken: int64(a) > 0}
-	case isa.OpBGE:
-		return Effect{Taken: int64(a) >= 0}
+	case isa.OpBR, isa.OpBEQ, isa.OpBNE, isa.OpBLT, isa.OpBLE, isa.OpBGT, isa.OpBGE:
+		*e = Effect{Taken: branchTaken(in.Op, a)}
+		return
 
 	case isa.OpHALT, isa.OpDRAINM:
 		// No architectural effect; DrainM ordering is a timing-model
@@ -302,8 +298,26 @@ func (m *Machine) stepScalar(in *isa.Inst, info *isa.Info) Effect {
 	default:
 		panic(fmt.Sprintf("arch: unimplemented scalar op %s", in.Op))
 	}
-	_ = info
-	return Effect{Active: 1}
+	*e = Effect{Active: 1}
+}
+
+// branchTaken resolves a conditional branch on its register operand a.
+func branchTaken(op isa.Op, a uint64) bool {
+	switch op {
+	case isa.OpBEQ:
+		return a == 0
+	case isa.OpBNE:
+		return a != 0
+	case isa.OpBLT:
+		return int64(a) < 0
+	case isa.OpBLE:
+		return int64(a) <= 0
+	case isa.OpBGT:
+		return int64(a) > 0
+	case isa.OpBGE:
+		return int64(a) >= 0
+	}
+	return true // OpBR
 }
 
 // active reports whether element i executes given vl and the mask mode.
@@ -314,7 +328,7 @@ func (m *Machine) active(in *isa.Inst, i int) bool {
 	return !in.Masked || m.VM[i]
 }
 
-func (m *Machine) stepVV(in *isa.Inst) Effect {
+func (m *Machine) stepVV(in *isa.Inst, e *Effect) {
 	vl := int(m.VL)
 	act := 0
 	for i := 0; i < vl; i++ {
@@ -342,7 +356,7 @@ func (m *Machine) stepVV(in *isa.Inst) Effect {
 	}
 	// Elements at vl..127 are UNPREDICTABLE per the ISA (§2, Figure 1); we
 	// leave them unchanged, which is one legal behaviour.
-	return Effect{VL: vl, Active: act}
+	*e = Effect{VL: vl, Active: act}
 }
 
 func vvUnary(op isa.Op, a uint64) uint64 {
@@ -407,7 +421,7 @@ func vvBinary(op isa.Op, a, b uint64) uint64 {
 	panic(fmt.Sprintf("arch: bad binary %s", op))
 }
 
-func (m *Machine) stepVS(in *isa.Inst) Effect {
+func (m *Machine) stepVS(in *isa.Inst, e *Effect) {
 	vl := int(m.VL)
 	s := m.rr(in.Src2)
 	act := 0
@@ -422,10 +436,10 @@ func (m *Machine) stepVS(in *isa.Inst) Effect {
 			m.vwrite(in.Dst, i, vvBinary(in.Op, m.vread(in.Src1, i), s))
 		}
 	}
-	return Effect{VL: vl, Active: act}
+	*e = Effect{VL: vl, Active: act}
 }
 
-func (m *Machine) stepSM(in *isa.Inst, info *isa.Info) Effect {
+func (m *Machine) stepSM(in *isa.Inst, info *isa.Info, e *Effect) {
 	vl := int(m.VL)
 	base := m.rr(in.Src2) + uint64(in.Imm)
 	addrs := m.newAddrs(vl)
@@ -445,10 +459,10 @@ func (m *Machine) stepSM(in *isa.Inst, info *isa.Info) Effect {
 			m.Mem.StoreQ(ea, m.vread(in.Src1, i))
 		}
 	}
-	return Effect{VL: vl, Stride: m.VS, Base: base, Addrs: addrs, ElemIdx: idxs, Active: len(addrs)}
+	*e = Effect{VL: vl, Stride: m.VS, Base: base, Addrs: addrs, ElemIdx: idxs, Active: len(addrs)}
 }
 
-func (m *Machine) stepRM(in *isa.Inst, info *isa.Info) Effect {
+func (m *Machine) stepRM(in *isa.Inst, info *isa.Info, e *Effect) {
 	vl := int(m.VL)
 	base := m.rr(in.Src2) + uint64(in.Imm)
 	addrs := m.newAddrs(vl)
@@ -468,10 +482,10 @@ func (m *Machine) stepRM(in *isa.Inst, info *isa.Info) Effect {
 			m.Mem.StoreQ(ea, m.vread(in.Src1, i))
 		}
 	}
-	return Effect{VL: vl, Base: base, Addrs: addrs, ElemIdx: idxs, Active: len(addrs)}
+	*e = Effect{VL: vl, Base: base, Addrs: addrs, ElemIdx: idxs, Active: len(addrs)}
 }
 
-func (m *Machine) stepVC(in *isa.Inst) Effect {
+func (m *Machine) stepVC(in *isa.Inst, e *Effect) {
 	switch in.Op {
 	case isa.OpSETVL:
 		v := m.rr(in.Src1)
@@ -502,7 +516,7 @@ func (m *Machine) stepVC(in *isa.Inst) Effect {
 	default:
 		panic(fmt.Sprintf("arch: unimplemented VC op %s", in.Op))
 	}
-	return Effect{VL: int(m.VL), Active: 1}
+	*e = Effect{VL: int(m.VL), Active: 1}
 }
 
 // ReadF returns scalar float register n as a float64.

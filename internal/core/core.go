@@ -83,7 +83,7 @@ type threadState struct {
 	trace  *vasm.Trace
 	halted bool
 
-	rob    []*pipe.UOp // per-thread reorder buffer
+	rob    sched.FIFO[*pipe.UOp] // per-thread reorder buffer
 	rename [isa.NumFlatRegs]*pipe.UOp
 
 	// Frontend stall state.
@@ -92,9 +92,10 @@ type threadState struct {
 	drainOp         *pipe.UOp // DrainM awaiting write-buffer purge
 	nextFetch       *pipe.UOp // staged instruction that could not dispatch
 
-	// Store queue entries awaiting disambiguation checks: maps quadword
-	// address to the youngest in-flight store writing it.
-	storeByAddr map[uint64]*pipe.UOp
+	// Store queue entries awaiting disambiguation checks: quadword address
+	// -> the youngest in-flight store writing it. Every mapped store is in
+	// this thread's ROB, so the table is sized to the thread's ROB share.
+	stores fixedTable[*pipe.UOp]
 
 	// addrOffset tags this thread's addresses in the shared memory
 	// hierarchy (each SMT thread has its own address space; the timing
@@ -135,13 +136,17 @@ type Core struct {
 
 	// Write buffer: retired stores draining to the cache hierarchy.
 	// wbDoneFn, bound once, retires one in-flight drain.
-	writeBuf   []wbEntry
+	writeBuf   sched.FIFO[wbEntry]
 	wbInFlight int
-	wbDoneFn   func(uint64)
+	wbDoneFn   func(uint64, any)
 
-	l1       *l1cache
-	mshr     map[uint64][]*pipe.UOp // line -> loads waiting on its fill
-	mshrPref map[uint64]bool        // lines with a prefetch-only fill in flight
+	l1 *l1cache
+	// mshr is the miss file: L1 line -> loads waiting on its fill (none for
+	// a prefetch). fillFn, bound once, is every fill's L2 completion; its
+	// argument is the *mshrEntry, so a miss allocates neither a closure nor
+	// a waiter slice.
+	mshr   fixedTable[[]*pipe.UOp]
+	fillFn func(uint64, any)
 
 	uopPool []*pipe.UOp // recycled records (safe: all references cleared at retire)
 
@@ -157,25 +162,43 @@ type wbEntry struct {
 	wh64 bool
 }
 
+type mshrEntry = tableEntry[[]*pipe.UOp]
+
+// mshrWaiters and uopConsumers are the initial capacities of an MSHR's
+// waiter list and of a fresh uop record's consumer list (room for a full
+// fetch group). Both lists keep their capacity across reuse; starting them
+// at a working size means the records, which take every role in turn, do
+// not each have to grow into the widest fan-out a slot-doubling at a time.
+const (
+	mshrWaiters  = 4
+	uopConsumers = 8
+)
+
 // New builds a core bound to an L2 and an optional vector unit, registering
 // its counters and occupancy gauges under the registry's core namespace.
 func New(cfg Config, reg *metrics.Registry, l2c *l2.L2, vu VectorUnit) *Core {
 	c := &Core{
-		cfg:      cfg,
-		l2:       l2c,
-		vu:       vu,
-		wheel:    sched.NewWheel(),
-		pred:     pipe.NewPredictor(),
-		intFU:    pipe.NewFUPool(cfg.IntWidth),
-		fpFU:     pipe.NewFUPool(cfg.FPWidth),
-		ldFU:     pipe.NewFUPool(cfg.LoadWidth),
-		stFU:     pipe.NewFUPool(cfg.StoreWidth),
-		l1:       newL1(cfg.L1Bytes, cfg.L1Assoc, cfg.L1Line),
-		mshr:     make(map[uint64][]*pipe.UOp),
-		mshrPref: make(map[uint64]bool),
+		cfg:   cfg,
+		l2:    l2c,
+		vu:    vu,
+		wheel: sched.NewWheel(),
+		pred:  pipe.NewPredictor(),
+		intFU: pipe.NewFUPool(cfg.IntWidth),
+		fpFU:  pipe.NewFUPool(cfg.FPWidth),
+		ldFU:  pipe.NewFUPool(cfg.LoadWidth),
+		stFU:  pipe.NewFUPool(cfg.StoreWidth),
+		l1:    newL1(cfg.L1Bytes, cfg.L1Assoc, cfg.L1Line),
+		mshr:  newFixedTable[[]*pipe.UOp](cfg.MSHRs),
+	}
+	// Every MSHR starts with room for a few waiters, carved from one array,
+	// so merges onto a fill do not grow the slices one entry at a time.
+	waiters := make([]*pipe.UOp, mshrWaiters*cfg.MSHRs)
+	for i := range c.mshr.ents {
+		c.mshr.ents[i].val = waiters[i*mshrWaiters : i*mshrWaiters : (i+1)*mshrWaiters]
 	}
 	c.completeFn = c.onComplete
-	c.wbDoneFn = func(uint64) { c.wbInFlight-- }
+	c.fillFn = c.fillL1
+	c.wbDoneFn = func(uint64, any) { c.wbInFlight-- }
 	l2c.OnPBitInvalidate = c.invalidateL1
 	m := reg.Scope("core")
 	c.flops = m.Counter("flops")
@@ -196,9 +219,9 @@ func New(cfg Config, reg *metrics.Registry, l2c *l2.L2, vu VectorUnit) *Core {
 	m.Gauge("blocked", "Ready uops structurally stalled this cycle.",
 		func(uint64) int { return len(c.blocked) })
 	m.Gauge("writebuf", "Retired stores draining to the cache hierarchy.",
-		func(uint64) int { return len(c.writeBuf) })
+		func(uint64) int { return c.writeBuf.Len() })
 	m.Gauge("mshr", "Outstanding L1 miss-status registers.",
-		func(uint64) int { return len(c.mshr) })
+		func(uint64) int { return c.mshr.Len() })
 	return c
 }
 
@@ -212,10 +235,10 @@ func (c *Core) BindSMT(trs []*vasm.Trace) {
 	c.threads = c.threads[:0]
 	for i, tr := range trs {
 		c.threads = append(c.threads, &threadState{
-			id:          uint8(i),
-			trace:       tr,
-			storeByAddr: make(map[uint64]*pipe.UOp),
-			addrOffset:  uint64(i) << 44,
+			id:         uint8(i),
+			trace:      tr,
+			stores:     newFixedTable[*pipe.UOp](c.cfg.ROBSize / len(trs)),
+			addrOffset: uint64(i) << 44,
 		})
 	}
 }
@@ -228,9 +251,9 @@ func (c *Core) SetChecker(chk *check.Checker) { c.chk = chk }
 // Depths reports the core's queue occupancy for failure diagnostics.
 func (c *Core) Depths() (rob, ready, blocked, writeBuf, mshr int) {
 	for _, t := range c.threads {
-		rob += len(t.rob)
+		rob += t.rob.Len()
 	}
-	return rob, c.ready.Len(), len(c.blocked), len(c.writeBuf), len(c.mshr)
+	return rob, c.ready.Len(), len(c.blocked), c.writeBuf.Len(), c.mshr.Len()
 }
 
 // LastRetired returns the sequence number and static-site id (the PC
@@ -252,11 +275,11 @@ func (c *Core) Halted() bool {
 // Busy reports whether instructions are still in flight.
 func (c *Core) Busy() bool {
 	for _, t := range c.threads {
-		if len(t.rob) > 0 {
+		if t.rob.Len() > 0 {
 			return true
 		}
 	}
-	return len(c.writeBuf) > 0 || c.wbInFlight > 0 || c.wheel.Pending()
+	return c.writeBuf.Len() > 0 || c.wbInFlight > 0 || c.wheel.Pending()
 }
 
 // invalidateL1 services a P-bit invalidate from the L2; returns true when
@@ -285,12 +308,12 @@ func (c *Core) Tick(cy uint64) {
 // time-based unstall) cycle; ^uint64(0) means the core is fully drained.
 func (c *Core) NextWake(now uint64) uint64 {
 	// The write buffer drains one entry per cycle.
-	if len(c.writeBuf) > 0 {
+	if c.writeBuf.Len() > 0 {
 		return now + 1
 	}
 	// A completed ROB head retires next cycle.
 	for _, t := range c.threads {
-		if len(t.rob) > 0 && t.rob[0].State == pipe.StateDone {
+		if t.rob.Len() > 0 && t.rob.Front().State == pipe.StateDone {
 			return now + 1
 		}
 	}
@@ -313,7 +336,7 @@ func (c *Core) NextWake(now uint64) uint64 {
 		if loadWidth <= 0 {
 			break // width-starved behind stuck loads: frozen until a fill
 		}
-		if u.Inst.IsPrefetch() || len(c.mshr) < c.cfg.MSHRs {
+		if u.Inst.IsPrefetch() || !c.mshr.Full() {
 			return now + 1
 		}
 		addr := uint64(0)
@@ -321,13 +344,13 @@ func (c *Core) NextWake(now uint64) uint64 {
 			addr = u.Eff.Addrs[0]
 		}
 		line := c.l1line(addr)
-		if _, pending := c.mshr[line]; pending {
+		if c.mshr.find(line) != nil {
 			return now + 1 // would attach to the outstanding fill
 		}
 		if c.l1.present(line) {
 			return now + 1 // L1 hit once it gets an issue slot
 		}
-		if st, ok := c.threads[u.Inst.Thread].storeByAddr[addr]; ok && st.Seq < u.Seq {
+		if st := c.threads[u.Inst.Thread].stores.find(addr); st != nil && st.val.Seq < u.Seq {
 			return now + 1 // store-to-load forwarding
 		}
 		loadWidth-- // MSHR-stuck: burns an issue slot every retry cycle
@@ -340,7 +363,7 @@ func (c *Core) NextWake(now uint64) uint64 {
 			continue // redirect resolves via the branch's completion event
 		}
 		if t.drainOp != nil {
-			if len(c.writeBuf) == 0 && c.wbInFlight == 0 {
+			if c.writeBuf.Len() == 0 && c.wbInFlight == 0 {
 				return now + 1
 			}
 			continue // waiting on write drains (L2/Zbox events)
@@ -351,7 +374,7 @@ func (c *Core) NextWake(now uint64) uint64 {
 			}
 			continue
 		}
-		if len(t.rob) >= c.cfg.ROBSize/len(c.threads) {
+		if t.rob.Len() >= c.cfg.ROBSize/len(c.threads) {
 			continue // ROB full: unblocked by retire, i.e. a completion event
 		}
 		if t.nextFetch != nil {
@@ -382,8 +405,8 @@ func (c *Core) retire(cy uint64) {
 	for range c.threads {
 		t := c.threads[c.rrRetire%len(c.threads)]
 		c.rrRetire++
-		for retired < c.cfg.RetireWidth && len(t.rob) > 0 {
-			u := t.rob[0]
+		for retired < c.cfg.RetireWidth && t.rob.Len() > 0 {
+			u := t.rob.Front()
 			if u.State != pipe.StateDone {
 				break
 			}
@@ -399,27 +422,29 @@ func (c *Core) retire(cy uint64) {
 				// Retired stores move to the write buffer "without
 				// informing either the L1 or the L2" (§3.4) and drain
 				// asynchronously.
-				if len(c.writeBuf) >= c.cfg.WriteBuffer {
+				if c.writeBuf.Len() >= c.cfg.WriteBuffer {
 					stop = true // write buffer full: stall this thread
 					break
 				}
 				if len(u.Eff.Addrs) > 0 {
 					addr := u.Eff.Addrs[0]
+					st := t.stores.find(addr)
 					if c.chk.Enabled() {
-						// Store-queue consistency: the disambiguation map
+						// Store-queue consistency: the disambiguation table
 						// holds the YOUNGEST in-flight store per address. The
 						// retiring store is its thread's oldest in-flight op,
 						// so an older mapped store means forwarding could
 						// have supplied stale data to some load.
-						if st, ok := t.storeByAddr[addr]; ok && st.Seq < u.Seq {
+						if st != nil && st.val.Seq < u.Seq {
 							c.chk.Failf("store-queue", cy,
 								"retiring store seq %d finds older store seq %d still mapped at %#x",
-								u.Seq, st.Seq, addr)
+								u.Seq, st.val.Seq, addr)
 						}
 					}
-					c.writeBuf = append(c.writeBuf, wbEntry{addr: addr, wh64: in.Op == isa.OpWH64})
-					if st, ok := t.storeByAddr[addr]; ok && st == u {
-						delete(t.storeByAddr, addr)
+					c.writeBuf.Push(wbEntry{addr: addr, wh64: in.Op == isa.OpWH64})
+					if st != nil && st.val == u {
+						st.val = nil
+						t.stores.remove(st)
 					}
 				}
 			}
@@ -438,7 +463,7 @@ func (c *Core) retire(cy uint64) {
 				}
 			}
 			u.State = pipe.StateRetired
-			t.rob = t.rob[1:]
+			t.rob.Pop()
 			retired++
 			c.recycle(t, u)
 		}
@@ -598,7 +623,8 @@ func (c *Core) issueLoad(cy uint64, u *pipe.UOp) bool {
 	}
 	// Store-to-load forwarding: an older in-flight store to the same
 	// quadword supplies the data.
-	if st, ok := c.threads[u.Inst.Thread].storeByAddr[addr]; ok && st.Seq < u.Seq {
+	if e := c.threads[u.Inst.Thread].stores.find(addr); e != nil && e.val.Seq < u.Seq {
+		st := e.val
 		if st.State == pipe.StateDone || st.State == pipe.StateRetired {
 			c.complete(cy+uint64(c.cfg.StoreForwardLat), u)
 		} else {
@@ -613,18 +639,15 @@ func (c *Core) issueLoad(cy uint64, u *pipe.UOp) bool {
 	if u.Inst.IsPrefetch() {
 		// Non-binding prefetch: retires immediately; the line arrives in
 		// the background (dropped if the MSHRs are saturated).
-		if _, pending := c.mshr[line]; !pending && !c.l1.probe(line) && len(c.mshr) < c.cfg.MSHRs {
-			c.mshr[line] = nil
-			c.mshrPref[line] = true
-			c.l2.ScalarRead(cy, addr, func(fillCy uint64) { c.fillL1(fillCy, line) })
+		if c.mshr.find(line) == nil && !c.l1.probe(line) && !c.mshr.Full() {
+			c.l2.ScalarRead(cy, addr, c.fillFn, c.mshr.insert(line))
 		}
 		c.complete(cy+1, u)
 		return true
 	}
-	if waiters, pending := c.mshr[line]; pending {
+	if e := c.mshr.find(line); e != nil {
 		// Miss to an already-outstanding line: attach to the MSHR.
-		c.mshr[line] = append(waiters, u)
-		delete(c.mshrPref, line)
+		e.val = append(e.val, u)
 		u.State = pipe.StateIssued
 		return true
 	}
@@ -635,28 +658,32 @@ func (c *Core) issueLoad(cy uint64, u *pipe.UOp) bool {
 	}
 	// L1 miss: take an MSHR and fetch the line from the L2. The 64-entry
 	// bound is the paper's "at most 64 misses before stalling".
-	if len(c.mshr) >= c.cfg.MSHRs {
+	if c.mshr.Full() {
 		return false // stall: retry next cycle
 	}
 	c.l1Misses.Inc()
-	c.mshr[line] = []*pipe.UOp{u}
-	c.l2.ScalarRead(cy, addr, func(fillCy uint64) { c.fillL1(fillCy, line) })
+	e := c.mshr.insert(line)
+	e.val = append(e.val, u)
+	c.l2.ScalarRead(cy, addr, c.fillFn, e)
 	u.State = pipe.StateIssued
 	return true
 }
 
-// fillL1 installs a returned line into the L1 and completes the loads that
-// slept on its MSHR entry.
-func (c *Core) fillL1(cy uint64, line uint64) {
-	waiters := c.mshr[line]
-	delete(c.mshr, line)
-	delete(c.mshrPref, line)
-	if victim, dirty := c.l1.fill(line, false); dirty {
-		c.l2.ScalarWrite(cy, victim, nil)
+// fillL1 is the L2 completion of the fill of the *mshrEntry a: it installs
+// the line into the L1 and completes, in arrival order, the loads that slept
+// on the entry. The entry is freed last, with its waiter slice's capacity
+// intact.
+func (c *Core) fillL1(cy uint64, a any) {
+	e := a.(*mshrEntry)
+	if victim, dirty := c.l1.fill(e.key, false); dirty {
+		c.l2.ScalarWrite(cy, victim, nil, nil)
 	}
-	for _, u := range waiters {
+	for _, u := range e.val {
 		c.complete(cy+1, u)
 	}
+	clear(e.val)
+	e.val = e.val[:0]
+	c.mshr.remove(e)
 }
 
 func (c *Core) l1line(addr uint64) uint64 { return addr &^ uint64(c.cfg.L1Line-1) }
@@ -708,22 +735,21 @@ func (c *Core) VectorDone(cy uint64, u *pipe.UOp) {
 // ---- write buffer ----
 
 func (c *Core) drainWriteBuffer(cy uint64) {
-	if len(c.writeBuf) == 0 {
+	if c.writeBuf.Len() == 0 {
 		return
 	}
-	e := c.writeBuf[0]
-	c.writeBuf = c.writeBuf[1:]
+	e := c.writeBuf.Pop()
 	line := c.l1line(e.addr)
 	switch {
 	case e.wh64:
 		c.wbInFlight++
-		c.l2.WH64(cy, e.addr, c.wbDoneFn)
+		c.l2.WH64(cy, e.addr, c.wbDoneFn, nil)
 	case c.l1.probe(line):
 		// Write-back L1: the store lands in the L1 and stays dirty there.
 		c.l1.markDirty(line)
 	default:
 		c.wbInFlight++
-		c.l2.ScalarWrite(cy, e.addr, c.wbDoneFn)
+		c.l2.ScalarWrite(cy, e.addr, c.wbDoneFn, nil)
 	}
 }
 
@@ -742,7 +768,7 @@ func (c *Core) fetch(cy uint64) {
 		if t.drainOp != nil {
 			// DrainM: wait until the write buffer has fully purged, then
 			// pay the replay trap and resume.
-			if len(c.writeBuf) == 0 && c.wbInFlight == 0 {
+			if c.writeBuf.Len() == 0 && c.wbInFlight == 0 {
 				c.complete(cy+1, t.drainOp)
 				t.drainOp = nil
 				t.fetchStallUntil = cy + uint64(c.cfg.DrainPenalty)
@@ -757,7 +783,7 @@ func (c *Core) fetch(cy uint64) {
 func (c *Core) fetchThread(cy uint64, t *threadState) {
 	vdispatched := 0
 	for n := 0; n < c.cfg.FetchWidth; n++ {
-		if len(t.rob) >= c.cfg.ROBSize/len(c.threads) {
+		if t.rob.Len() >= c.cfg.ROBSize/len(c.threads) {
 			return
 		}
 		u := t.nextFetch
@@ -771,10 +797,16 @@ func (c *Core) fetchThread(cy uint64, t *threadState) {
 				u = c.uopPool[n-1]
 				c.uopPool = c.uopPool[:n-1]
 			} else {
-				u = &pipe.UOp{}
+				u = &pipe.UOp{Consumers: make([]*pipe.UOp, 0, uopConsumers)}
 			}
+			// One field at a time: a tuple assignment would stage the
+			// instruction and its effect through temporaries.
 			c.dispatchSeq++
-			u.Seq, u.Site, u.Inst, u.Eff, u.FetchCyc = c.dispatchSeq, d.Site, d.Inst, d.Eff, cy
+			u.Seq = c.dispatchSeq
+			u.Site = d.Site
+			u.Inst = d.Inst
+			u.Eff = d.Eff
+			u.FetchCyc = cy
 			u.Inst.Thread = t.id
 			if t.addrOffset != 0 && len(u.Eff.Addrs) > 0 {
 				// Tag this thread's addresses so the shared memory
@@ -798,7 +830,7 @@ func (c *Core) fetchThread(cy uint64, t *threadState) {
 			vdispatched++
 		}
 		c.renameOp(cy, t, u)
-		t.rob = append(t.rob, u)
+		t.rob.Push(u)
 
 		info := u.Inst.Info()
 		switch {
@@ -837,7 +869,12 @@ func (c *Core) renameOp(cy uint64, t *threadState, u *pipe.UOp) {
 		}
 	}
 	if info := u.Inst.Info(); info.IsStore && !u.Inst.IsVector() && len(u.Eff.Addrs) > 0 {
-		t.storeByAddr[u.Eff.Addrs[0]] = u
+		addr := u.Eff.Addrs[0]
+		e := t.stores.find(addr)
+		if e == nil {
+			e = t.stores.insert(addr)
+		}
+		e.val = u
 	}
 }
 

@@ -17,7 +17,7 @@ func (c *Core) SaveState(w *snapshot.Writer, now uint64) error {
 	if c.Busy() {
 		return fmt.Errorf("core: uops or writebacks in flight; snapshots require a quiescent chip")
 	}
-	if len(c.mshr) > 0 || len(c.mshrPref) > 0 || c.ready.Len() > 0 || len(c.blocked) > 0 {
+	if c.mshr.Len() > 0 || c.ready.Len() > 0 || len(c.blocked) > 0 {
 		return fmt.Errorf("core: MSHR or issue queues not empty; snapshots require a quiescent chip")
 	}
 	w.Tag("core")

@@ -129,3 +129,28 @@ func TestUnpipelinedOps(t *testing.T) {
 		t.Error("vaddt should be pipelined")
 	}
 }
+
+// TestLookupInvalidIsSharedAndAllocFree: an opcode past the table and the
+// unnamed OpInvalid slot both describe as "invalid", and looking them up
+// allocates nothing.
+func TestLookupInvalidIsSharedAndAllocFree(t *testing.T) {
+	for _, op := range []Op{OpInvalid, opMax, opMax + 7, ^Op(0)} {
+		in := Lookup(op)
+		if in.Name != "invalid" || in.Group != GScalar || in.FU != FUNone || in.Latency != 1 {
+			t.Errorf("Lookup(%d) = %+v, want the invalid descriptor", op, *in)
+		}
+		if op.String() != "invalid" {
+			t.Errorf("Op(%d).String() = %q, want \"invalid\"", op, op.String())
+		}
+	}
+	var sink *Info
+	allocs := testing.AllocsPerRun(100, func() {
+		sink = Lookup(opMax + 3)
+		sink = Lookup(OpInvalid)
+		sink = Lookup(OpVADDT)
+	})
+	if allocs != 0 {
+		t.Fatalf("Lookup allocated %v times per run, want 0", allocs)
+	}
+	_ = sink
+}

@@ -346,7 +346,6 @@ var infos = [opMax]Info{
 	OpVCLRM: {Name: "vclrm", Group: GVC, FU: FUVCtl, Latency: 1, WritesMask: true},
 }
 
-// Lookup returns the metadata for op.
 // Flops returns the per-element flop count of op.
 func (in *Info) Flops() uint64 {
 	if in.FlopsPer == 0 {
@@ -358,11 +357,27 @@ func (in *Info) Flops() uint64 {
 	return uint64(in.FlopsPer)
 }
 
-func Lookup(op Op) *Info {
-	if int(op) >= len(infos) || infos[op].Name == "" {
-		return &Info{Name: "invalid", Group: GScalar, FU: FUNone, Latency: 1}
+// invalidInfo describes every opcode outside the table and every unnamed
+// slot inside it (OpInvalid included).
+var invalidInfo = Info{Name: "invalid", Group: GScalar, FU: FUNone, Latency: 1}
+
+// The unnamed slots of infos are filled with invalidInfo once, so Lookup is
+// a bounds check and an index.
+func init() {
+	for op := range infos {
+		if infos[op].Name == "" {
+			infos[op] = invalidInfo
+		}
 	}
-	return &infos[op]
+}
+
+// Lookup returns the metadata for op. The result is shared: callers must not
+// modify it.
+func Lookup(op Op) *Info {
+	if int(op) < len(infos) {
+		return &infos[op]
+	}
+	return &invalidInfo
 }
 
 // IsVector reports whether op is one of the new Tarantula instructions

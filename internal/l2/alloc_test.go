@@ -37,16 +37,16 @@ func TestMemoryPipelineZeroAlloc(t *testing.T) {
 	)
 	done := 0
 	sliceDone := func(uint64, any) { done++ }
-	scalarDone := func(uint64) { done++ }
+	scalarDone := func(uint64, any) { done++ }
 
 	cy := uint64(0)
 	round := func(r uint64) {
 		base := (r % 512) << 20 // fresh lines every round: all misses
-		c.ScalarRead(cy, base+0x80000, scalarDone)
-		c.ScalarRead(cy, base+0x80040, scalarDone)
-		c.ScalarWrite(cy, base+0x90000, scalarDone)
+		c.ScalarRead(cy, base+0x80000, scalarDone, nil)
+		c.ScalarRead(cy, base+0x80040, scalarDone, nil)
+		c.ScalarWrite(cy, base+0x90000, scalarDone, nil)
 		c.ScalarPrefetch(cy, base+0xa0000)
-		c.WH64(cy, base+0xb0000, scalarDone)
+		c.WH64(cy, base+0xb0000, scalarDone, nil)
 		for k := range ops {
 			set := base + uint64(k%6)*creorder.NumBanks*64
 			for j := range elems[k] {
@@ -60,7 +60,7 @@ func TestMemoryPipelineZeroAlloc(t *testing.T) {
 		}
 		// A scalar read of a line a vector slice is fetching waits on the
 		// vector fill.
-		c.ScalarRead(cy, base+0x40, scalarDone)
+		c.ScalarRead(cy, base+0x40, scalarDone, nil)
 		tick := func() {
 			cy++
 			z.Tick(cy)
@@ -71,8 +71,8 @@ func TestMemoryPipelineZeroAlloc(t *testing.T) {
 		}
 		// The MAF is full by now: these scalar misses are NACKed and
 		// retried.
-		c.ScalarRead(cy, base+0xc0000, scalarDone)
-		c.ScalarWrite(cy, base+0xd0000, scalarDone)
+		c.ScalarRead(cy, base+0xc0000, scalarDone, nil)
+		c.ScalarWrite(cy, base+0xd0000, scalarDone, nil)
 		for c.Busy() || z.Busy() {
 			tick()
 		}

@@ -18,7 +18,7 @@ func TestRandomTrafficCompletes(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		c, z, st := testSetup()
 		expected, completed := 0, 0
-		done := func(uint64) { completed++ }
+		done := func(uint64, any) { completed++ }
 		sliceDone := func(uint64, any) { completed++ }
 
 		cy := uint64(0)
@@ -29,15 +29,15 @@ func TestRandomTrafficCompletes(t *testing.T) {
 				switch rng.Intn(6) {
 				case 0:
 					expected++
-					c.ScalarRead(cy, addr, done)
+					c.ScalarRead(cy, addr, done, nil)
 				case 1:
 					expected++
-					c.ScalarWrite(cy, addr, done)
+					c.ScalarWrite(cy, addr, done, nil)
 				case 2:
 					c.ScalarPrefetch(cy, addr)
 				case 3:
 					expected++
-					c.WH64(cy, addr, done)
+					c.WH64(cy, addr, done, nil)
 				default:
 					// A random (possibly conflicting-bank) slice.
 					var sl creorder.Slice
@@ -95,7 +95,7 @@ func TestResidencyAfterFill(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		addr := uint64(rng.Intn(1<<21)) &^ 63
 		fired := false
-		c.ScalarRead(cy, addr, func(uint64) { fired = true })
+		c.ScalarRead(cy, addr, func(uint64, any) { fired = true }, nil)
 		for i := 0; i < 100_000 && !fired; i++ {
 			cy++
 			z.Tick(cy)
@@ -106,7 +106,7 @@ func TestResidencyAfterFill(t *testing.T) {
 		}
 		hitsBefore := st.L2Hits
 		fired = false
-		c.ScalarRead(cy, addr, func(uint64) { fired = true })
+		c.ScalarRead(cy, addr, func(uint64, any) { fired = true }, nil)
 		for i := 0; i < 1000 && !fired; i++ {
 			cy++
 			z.Tick(cy)

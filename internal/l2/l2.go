@@ -83,12 +83,13 @@ type mafEntry struct {
 }
 
 // scalarWaiter is a scalar miss waiting on a fill: when the line arrives it
-// is marked dirty (write) and P-bit (the L1 now holds it), and done fires
-// lat cycles later.
+// is marked dirty (write) and P-bit (the L1 now holds it), and its
+// completion, if any, fires as done(cycle+lat, arg).
 type scalarWaiter struct {
 	write bool
 	lat   uint64
-	done  func(cycle uint64)
+	done  func(cycle uint64, arg any)
+	arg   any
 }
 
 // L2 is the cache model.
@@ -161,13 +162,9 @@ type scalarReq struct {
 	write bool
 	wh64  bool
 	pref  bool
-	done  func(cycle uint64)
+	done  func(cycle uint64, arg any)
+	arg   any
 }
-
-// callDone invokes a stored completion callback with the fired cycle — the
-// AtCall form of the old `func() { done(cy+lat) }` closures (func values are
-// pointer-shaped, so storing one in the event's any costs no allocation).
-func callDone(cy uint64, a any) { a.(func(uint64))(cy) }
 
 // New returns an L2 backed by the given memory controller, registering its
 // counters and queue-depth gauges under the registry's l2 namespace.
@@ -332,10 +329,12 @@ func (c *L2) SubmitSlice(op *SliceOp) bool {
 }
 
 // ScalarRead requests the line containing addr on behalf of the EV8 core
-// (an L1 refill). The P-bit is set: the core now has the line. done fires
-// when the line is available to the L1.
-func (c *L2) ScalarRead(cy uint64, addr uint64, done func(cycle uint64)) {
-	c.scalarQ.Push(scalarReq{addr: c.line(addr), done: done})
+// (an L1 refill). The P-bit is set: the core now has the line. done, if
+// non-nil, is called as done(cycle, arg) when the line is available to the
+// L1 — the SliceOp and zbox.Request completion contract, so the requester
+// binds one func and passes its per-request state as arg.
+func (c *L2) ScalarRead(cy uint64, addr uint64, done func(cycle uint64, arg any), arg any) {
+	c.scalarQ.Push(scalarReq{addr: c.line(addr), done: done, arg: arg})
 }
 
 // ScalarPrefetch is a non-binding scalar prefetch: it fills the L2 (and is
@@ -346,16 +345,18 @@ func (c *L2) ScalarPrefetch(cy uint64, addr uint64) {
 
 // ScalarWrite drains one store (or an L1 dirty writeback) into the cache,
 // setting the P-bit, per the write-buffer behaviour of §3.4. done, if
-// non-nil, fires when the write is durably in the L2 (DrainM waits on it).
-func (c *L2) ScalarWrite(cy uint64, addr uint64, done func(cycle uint64)) {
-	c.scalarQ.Push(scalarReq{addr: c.line(addr), write: true, done: done})
+// non-nil, is called as done(cycle, arg) when the write is durably in the
+// L2 (DrainM waits on it).
+func (c *L2) ScalarWrite(cy uint64, addr uint64, done func(cycle uint64, arg any), arg any) {
+	c.scalarQ.Push(scalarReq{addr: c.line(addr), write: true, done: done, arg: arg})
 }
 
 // WH64 allocates the line dirty without a memory read (the write-hint that
 // saves read-for-ownership traffic). The allocation bypasses the L1, so the
 // P-bit is not set and later vector stores do not pay invalidates.
-func (c *L2) WH64(cy uint64, addr uint64, done func(cycle uint64)) {
-	c.scalarQ.Push(scalarReq{addr: c.line(addr), write: true, wh64: true, done: done})
+// done, if non-nil, is called as done(cycle, arg) once the line is allocated.
+func (c *L2) WH64(cy uint64, addr uint64, done func(cycle uint64, arg any), arg any) {
+	c.scalarQ.Push(scalarReq{addr: c.line(addr), write: true, wh64: true, done: done, arg: arg})
 }
 
 // Busy reports whether the cache still has work in flight.
@@ -592,7 +593,7 @@ func (c *L2) fillArrived(cy uint64, a any) {
 			w.pbit = true
 		}
 		if sw.done != nil {
-			sw.done(cy + sw.lat)
+			sw.done(cy+sw.lat, sw.arg)
 		}
 	}
 	clear(e.sleepers)
@@ -647,7 +648,7 @@ func (c *L2) lookupScalar(cy uint64, req scalarReq) {
 			c.markDirty(w)
 		}
 		if req.done != nil {
-			c.wheel.AtCall(cy+1, callDone, req.done)
+			c.wheel.AtCall(cy+1, req.done, req.arg)
 		}
 		return
 	}
@@ -662,7 +663,7 @@ func (c *L2) lookupScalar(cy uint64, req scalarReq) {
 		}
 		if req.done != nil {
 			lat := uint64(c.cfg.ScalarLat) + c.cfg.Faults.L2Latency(cy)
-			c.wheel.AtCall(cy+lat, callDone, req.done)
+			c.wheel.AtCall(cy+lat, req.done, req.arg)
 		}
 		return
 	}
@@ -688,7 +689,7 @@ func (c *L2) lookupScalar(cy uint64, req scalarReq) {
 		return
 	}
 	lat := uint64(c.cfg.ScalarLat) + c.cfg.Faults.L2Latency(cy)
-	e.scalar = append(e.scalar, scalarWaiter{write: req.write, lat: lat, done: req.done})
+	e.scalar = append(e.scalar, scalarWaiter{write: req.write, lat: lat, done: req.done, arg: req.arg})
 }
 
 // Depths reports the cache's queue occupancies for profiling tools.

@@ -47,7 +47,7 @@ func mkSlice(base uint64, n int, write bool) *SliceOp {
 func TestScalarMissThenHit(t *testing.T) {
 	c, z, st := testSetup()
 	var first, second uint64
-	c.ScalarRead(0, 0x10000, func(cy uint64) { first = cy })
+	c.ScalarRead(0, 0x10000, func(cy uint64, _ any) { first = cy }, nil)
 	drive(c, z, 0, 10_000)
 	if first == 0 {
 		t.Fatal("miss never filled")
@@ -55,7 +55,7 @@ func TestScalarMissThenHit(t *testing.T) {
 	if st.L2Misses != 1 {
 		t.Fatalf("misses = %d", st.L2Misses)
 	}
-	c.ScalarRead(first, 0x10008, func(cy uint64) { second = cy })
+	c.ScalarRead(first, 0x10008, func(cy uint64, _ any) { second = cy }, nil)
 	end := drive(c, z, first, 10_000)
 	_ = end
 	if second == 0 || second-first > uint64(c.cfg.ScalarLat)+4 {
@@ -70,7 +70,7 @@ func TestSliceHitLatencies(t *testing.T) {
 	c, z, _ := testSetup()
 	// Warm 16 lines via a write-allocating WH64 path.
 	for i := uint64(0); i < 16; i++ {
-		c.WH64(0, 0x20000+i*64, nil)
+		c.WH64(0, 0x20000+i*64, nil, nil)
 	}
 	drive(c, z, 0, 10_000)
 
@@ -162,7 +162,7 @@ func TestWriteSliceMarksDirtyAndWritesBack(t *testing.T) {
 	// Set period for a 1 MiB 8-way cache is 128 KiB.
 	for w := uint64(1); w <= 9; w++ {
 		for i := uint64(0); i < 16; i++ {
-			c.ScalarRead(0, 0x60000+w*(1<<17)+i*64, nil)
+			c.ScalarRead(0, 0x60000+w*(1<<17)+i*64, nil, nil)
 		}
 		drive(c, z, done+w*5000, 20_000)
 	}
@@ -182,7 +182,7 @@ func TestPBitInvalidateOnVectorTouch(t *testing.T) {
 		return false
 	}
 	// Scalar read sets the P-bit.
-	c.ScalarRead(0, 0x70000, nil)
+	c.ScalarRead(0, 0x70000, nil, nil)
 	drive(c, z, 0, 10_000)
 	// Vector slice touching the same line must invalidate the L1 copy.
 	s := mkSlice(0x70000, 1, false)
@@ -205,7 +205,7 @@ func TestWH64DoesNotSetPBit(t *testing.T) {
 	c, z, _ := testSetup()
 	called := false
 	c.OnPBitInvalidate = func(uint64) bool { called = true; return false }
-	c.WH64(0, 0x80000, nil)
+	c.WH64(0, 0x80000, nil, nil)
 	drive(c, z, 0, 10_000)
 	s := mkSlice(0x80000, 1, true)
 	c.SubmitSlice(s)
@@ -217,7 +217,7 @@ func TestWH64DoesNotSetPBit(t *testing.T) {
 
 func TestWH64AvoidsMemoryRead(t *testing.T) {
 	c, z, st := testSetup()
-	c.WH64(0, 0x90000, nil)
+	c.WH64(0, 0x90000, nil, nil)
 	drive(c, z, 0, 10_000)
 	if st.MemReads != 0 {
 		t.Fatalf("WH64 caused %d memory reads, want 0", st.MemReads)
@@ -251,7 +251,7 @@ func TestMAFFullBackpressure(t *testing.T) {
 func TestPumpBusOccupancy(t *testing.T) {
 	c, z, _ := testSetup()
 	for i := uint64(0); i < 32; i++ {
-		c.WH64(0, 0xB0000+i*64, nil)
+		c.WH64(0, 0xB0000+i*64, nil, nil)
 	}
 	drive(c, z, 0, 10_000)
 	// Two pump read slices: the second must start ≥4 cycles after the
@@ -287,7 +287,7 @@ func TestPanicModeOnRepeatedReplay(t *testing.T) {
 	for i := 0; done == 0 && i < 40_000; i++ {
 		cy++
 		if i%3 == 0 {
-			c.ScalarRead(cy, 0xC0000+uint64(1+i/3)*(1<<17), nil)
+			c.ScalarRead(cy, 0xC0000+uint64(1+i/3)*(1<<17), nil, nil)
 		}
 		z.Tick(cy)
 		c.Tick(cy)
@@ -309,7 +309,7 @@ func TestScalarPrefetchDoesNotBlock(t *testing.T) {
 	}
 	// Line must now be resident: a read hits.
 	var done uint64
-	c.ScalarRead(5000, 0xD0000, func(cy uint64) { done = cy })
+	c.ScalarRead(5000, 0xD0000, func(cy uint64, _ any) { done = cy }, nil)
 	drive(c, z, 5000, 1000)
 	if done == 0 || st.L2Hits != 1 {
 		t.Fatalf("prefetched line not resident (hits=%d)", st.L2Hits)

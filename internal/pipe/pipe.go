@@ -5,8 +5,6 @@
 package pipe
 
 import (
-	"container/heap"
-
 	"repro/internal/arch"
 	"repro/internal/isa"
 )
@@ -70,29 +68,68 @@ func (u *UOp) MarkReady(c uint64) {
 // component. The map-based multimap made Next() an O(pending) scan, which
 // dominated the simulator's profile once the chip loop went event-driven.)
 
-// ReadyQueue is a min-heap of ready ops ordered by sequence number, so the
-// schedulers issue oldest-first like real wakeup/select logic.
-type ReadyQueue struct{ h uopHeap }
+// ReadyQueue is a binary min-heap of ready ops ordered by sequence number,
+// so the schedulers issue oldest-first like real wakeup/select logic. It is
+// typed on *UOp (no container/heap interface boxing) and keeps its backing
+// array, so pushes and pops allocate nothing once it reaches working depth.
+// Sequence numbers are unique, so the pop order is fully determined.
+type ReadyQueue struct{ h []*UOp }
 
-func (q *ReadyQueue) Push(u *UOp) { heap.Push(&q.h, u) }
-func (q *ReadyQueue) Pop() *UOp   { return heap.Pop(&q.h).(*UOp) }
-func (q *ReadyQueue) Peek() *UOp  { return q.h[0] }
-func (q *ReadyQueue) Len() int    { return len(q.h) }
-
-type uopHeap []*UOp
-
-func (h uopHeap) Len() int            { return len(h) }
-func (h uopHeap) Less(i, j int) bool  { return h[i].Seq < h[j].Seq }
-func (h uopHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *uopHeap) Push(x interface{}) { *h = append(*h, x.(*UOp)) }
-func (h *uopHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return x
+// Push adds u to the queue.
+func (q *ReadyQueue) Push(u *UOp) {
+	q.h = append(q.h, u)
+	// Sift the new last element up: move parents down into the hole until
+	// one is older than u.
+	h := q.h
+	j := len(h) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if h[i].Seq <= u.Seq {
+			break
+		}
+		h[j] = h[i]
+		j = i
+	}
+	h[j] = u
 }
+
+// Pop removes and returns the oldest op. It panics on an empty queue.
+func (q *ReadyQueue) Pop() *UOp {
+	h := q.h
+	n := len(h) - 1
+	top, last := h[0], h[n]
+	h[n] = nil
+	h = h[:n]
+	q.h = h
+	if n == 0 {
+		return top
+	}
+	// Sift the former last element down from the root: move the older
+	// child up into the hole until last is older than both children.
+	i := 0
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j2 := j + 1; j2 < n && h[j2].Seq < h[j].Seq {
+			j = j2
+		}
+		if h[j].Seq >= last.Seq {
+			break
+		}
+		h[i] = h[j]
+		i = j
+	}
+	h[i] = last
+	return top
+}
+
+// Peek returns the oldest op without removing it.
+func (q *ReadyQueue) Peek() *UOp { return q.h[0] }
+
+// Len returns the number of queued ops.
+func (q *ReadyQueue) Len() int { return len(q.h) }
 
 // ---- functional unit pools ----
 

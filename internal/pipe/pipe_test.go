@@ -1,8 +1,9 @@
 package pipe
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/isa"
 )
@@ -24,24 +25,70 @@ func TestReadyQueueOldestFirst(t *testing.T) {
 	}
 }
 
+// TestReadyQueueProperty interleaves seeded pushes and pops (unique
+// sequence numbers, as the schedulers guarantee) and checks every pop and
+// peek against a sorted reference.
 func TestReadyQueueProperty(t *testing.T) {
-	f := func(seqs []uint64) bool {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
 		var q ReadyQueue
-		for _, s := range seqs {
-			q.Push(&UOp{Seq: s})
-		}
-		prev := uint64(0)
-		for q.Len() > 0 {
-			s := q.Pop().Seq
-			if s < prev {
-				return false
+		var ref []uint64 // sorted ascending
+		used := map[uint64]bool{}
+		for step := 0; step < 400; step++ {
+			if len(ref) == 0 || rng.Intn(3) != 0 {
+				s := uint64(rng.Intn(1 << 12))
+				for used[s] {
+					s = uint64(rng.Intn(1 << 12))
+				}
+				used[s] = true
+				q.Push(&UOp{Seq: s})
+				i := sort.Search(len(ref), func(i int) bool { return ref[i] > s })
+				ref = append(ref, 0)
+				copy(ref[i+1:], ref[i:])
+				ref[i] = s
+			} else {
+				if got := q.Peek().Seq; got != ref[0] {
+					t.Fatalf("seed %d step %d: Peek %d, want %d", seed, step, got, ref[0])
+				}
+				if got := q.Pop().Seq; got != ref[0] {
+					t.Fatalf("seed %d step %d: Pop %d, want %d", seed, step, got, ref[0])
+				}
+				ref = ref[1:]
 			}
-			prev = s
+			if q.Len() != len(ref) {
+				t.Fatalf("seed %d step %d: Len %d, want %d", seed, step, q.Len(), len(ref))
+			}
 		}
-		return true
+		for _, want := range ref {
+			if got := q.Pop().Seq; got != want {
+				t.Fatalf("seed %d drain: Pop %d, want %d", seed, got, want)
+			}
+		}
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+}
+
+// TestReadyQueueSteadyStateAllocFree: once the heap has reached its working
+// depth, pushes and pops allocate nothing.
+func TestReadyQueueSteadyStateAllocFree(t *testing.T) {
+	var q ReadyQueue
+	ops := make([]UOp, 64)
+	for i := range ops {
+		ops[i].Seq = uint64(len(ops) - i)
+		q.Push(&ops[i])
+	}
+	for q.Len() > 0 {
+		q.Pop()
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := range ops {
+			q.Push(&ops[i])
+		}
+		for q.Len() > 0 {
+			q.Pop()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per push/pop round, want 0", allocs)
 	}
 }
 

@@ -126,3 +126,38 @@ func TestTraceCleanRunHasNoErr(t *testing.T) {
 		t.Fatalf("Err() = %v on a clean run", err)
 	}
 }
+
+// TestCollectCheckedFaultLeavesNoRecord: the builder steps each instruction
+// straight into its trace record, so a fault happens after the record was
+// claimed. The k-th instruction faulting must still give the positional
+// error of the k-th instruction, and the trace must hold exactly the k-1
+// instructions before it.
+func TestCollectCheckedFaultLeavesNoRecord(t *testing.T) {
+	for _, k := range []int{1, 2, 5, 17} {
+		var site uint32
+		out, err := CollectChecked(arch.New(mem.New()), func(b *Builder) {
+			for i := 1; i < k; i++ {
+				b.Li(isa.R(2), int64(i))
+			}
+			site = b.nextSite + 1
+			b.LdQ(isa.R(3), isa.RZero, 1234) // not 8-aligned
+			b.Halt()
+		})
+		var be *BuildError
+		if !errors.As(err, &be) {
+			t.Fatalf("k=%d: err = %v (%T), want *BuildError", k, err, err)
+		}
+		if be.Seq != uint64(k) || be.Site != site || be.Inst.Op != isa.OpLDQ || be.Inst.Imm != 1234 {
+			t.Errorf("k=%d: error at seq %d site %d [%s], want seq %d site %d ldq",
+				k, be.Seq, be.Site, &be.Inst, k, site)
+		}
+		if len(out) != k-1 {
+			t.Fatalf("k=%d: %d records, want %d (none for the faulting instruction)", k, len(out), k-1)
+		}
+		for i, d := range out {
+			if d.Seq != uint64(i+1) || d.Inst.Op != isa.OpLDA {
+				t.Errorf("k=%d: record %d is seq %d [%s], want seq %d lda", k, i, d.Seq, &d.Inst, i+1)
+			}
+		}
+	}
+}

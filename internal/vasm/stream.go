@@ -92,6 +92,17 @@ func NewTrace(m *arch.Machine, kernel Kernel) *Trace {
 	return t
 }
 
+// Replay returns a trace that hands out the recorded instructions in order
+// and then ends, with no producer goroutine behind it — for feeding a trace
+// collected with CollectChecked to a timing model, where the producer's own
+// allocations and scheduling must stay out of the measurement. insts must
+// not change while the trace is in use.
+func Replay(insts []DynInst) *Trace {
+	ch := make(chan []DynInst)
+	close(ch)
+	return &Trace{ch: ch, done: make(chan struct{}), cur: insts}
+}
+
 func (t *Trace) setErr(err error) {
 	t.mu.Lock()
 	t.err = err
@@ -151,16 +162,19 @@ func (t *Trace) Close() {
 // the positional error of the first failing instruction. Intended for tests
 // and small kernels only.
 func CollectChecked(m *arch.Machine, kernel Kernel) (out []DynInst, err error) {
+	var b *Builder
 	defer func() {
 		if r := recover(); r != nil {
 			ab, ok := r.(buildAbort)
 			if !ok {
 				panic(r)
 			}
-			err = ab.err
+			// The faulting instruction had claimed its record before it
+			// stepped; only the b.Count() completed ones are the trace.
+			out, err = out[:b.Count()], ab.err
 		}
 	}()
-	b := NewBuilder(m, func() *DynInst {
+	b = NewBuilder(m, func() *DynInst {
 		out = append(out, DynInst{})
 		return &out[len(out)-1]
 	})

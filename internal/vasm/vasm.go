@@ -59,8 +59,10 @@ type Builder struct {
 
 // NewBuilder returns a Builder bound to machine m; slot returns the record
 // to fill for each executed instruction, so the ~140-byte DynInst is written
-// exactly once, in place, instead of staged through a scratch copy. The heap
-// starts at 1 MiB to keep address 0 out of the workloads' way.
+// exactly once, in place, instead of staged through a scratch copy. The
+// record is claimed before the instruction executes, so when it faults the
+// last record slot handed out is never filled in and must be discarded.
+// The heap starts at 1 MiB to keep address 0 out of the workloads' way.
 func NewBuilder(m *arch.Machine, slot func() *DynInst) *Builder {
 	return &Builder{M: m, slot: slot, heap: 1 << 20}
 }
@@ -72,28 +74,30 @@ func (b *Builder) Site() uint32 {
 }
 
 // Emit executes in on the functional machine and appends it to the trace.
-func (b *Builder) Emit(in isa.Inst) arch.Effect {
-	return b.EmitAt(in, b.Site())
-}
+func (b *Builder) Emit(in isa.Inst) { b.emitAt(in, b.Site()) }
 
 // EmitAt is Emit with an explicit static-site id, for kernels that re-emit
 // the same branch site across iterations (the predictor's key).
-func (b *Builder) EmitAt(in isa.Inst, site uint32) arch.Effect {
-	return b.emitAt(in, site)
-}
+func (b *Builder) EmitAt(in isa.Inst, site uint32) { b.emitAt(in, site) }
 
-func (b *Builder) emitAt(in isa.Inst, site uint32) arch.Effect {
-	eff := b.step(&in, site)
-	b.seq++
+// emitAt claims the instruction's trace record and steps the machine
+// straight into it, so the record is written once, in place. A faulting
+// instruction unwinds the kernel before its record is counted: b.seq only
+// advances on success, CollectChecked cuts its records back to that count,
+// and a streaming producer that dies never sends its partial batch.
+func (b *Builder) emitAt(in isa.Inst, site uint32) {
 	d := b.slot()
-	d.Seq, d.Site, d.Inst, d.Eff = b.seq, site, in, eff
-	return eff
+	b.step(&in, site, &d.Eff)
+	b.seq++
+	d.Seq = b.seq
+	d.Site = site
+	d.Inst = in
 }
 
-// step executes in on the functional machine, converting a machine panic
-// (unimplemented op, bad register class, bad memory access) into a
-// positional BuildError and unwinding the kernel via buildAbort.
-func (b *Builder) step(in *isa.Inst, site uint32) arch.Effect {
+// step executes in on the functional machine into *eff, converting a
+// machine panic (unimplemented op, bad register class, bad memory access)
+// into a positional BuildError and unwinding the kernel via buildAbort.
+func (b *Builder) step(in *isa.Inst, site uint32, eff *arch.Effect) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(buildAbort); ok {
@@ -103,7 +107,7 @@ func (b *Builder) step(in *isa.Inst, site uint32) arch.Effect {
 			panic(buildAbort{b.err})
 		}
 	}()
-	return b.M.Step(in)
+	b.M.Step(in, eff)
 }
 
 // Err returns the positional error of the first failed instruction, or nil.
